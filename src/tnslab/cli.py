@@ -23,20 +23,17 @@ import numpy as np
 from .errors import CapacityError, TnsError
 from .geometry import geometry_report
 from .mera import Mera, eval_mera, random_mera, validate_isometries
-from .mps_obc import MpsObc, eval_obc, schmidt
+from .mps_obc import MpsObc, schmidt
 from .mps_pbc import (
     MpsPbc,
-    eval_pbc,
     injectivity_length,
     is_primitive,
     ti_mps,
     wielandt_bound,
 )
 from .optimize import distance_objective, energy_objective, run_experiment
-from .peps import Peps, eval_peps
 from .serialize import load_state, save_state
-from .tensors import DenseTensor, as_array
-from .ttns import Ttns, eval_ttns
+from .tensors import DenseTensor, as_array, contract_network
 from .zoo import (
     aklt_tensor,
     blbq_hamiltonian,
@@ -98,16 +95,10 @@ def _need(ns, *names):
 def _state_vector(state) -> np.ndarray:
     if isinstance(state, DenseTensor):
         return np.asarray(as_array(state)).ravel()
-    if isinstance(state, MpsObc):
-        return np.asarray(as_array(eval_obc(state))).ravel()
-    if isinstance(state, MpsPbc):
-        return np.asarray(as_array(eval_pbc(state))).ravel()
-    if isinstance(state, Ttns):
-        return np.asarray(as_array(eval_ttns(state))).ravel()
-    if isinstance(state, Peps):
-        return np.asarray(as_array(eval_peps(state))).ravel()
     if isinstance(state, Mera):
         return np.asarray(as_array(eval_mera(state))).ravel()
+    if hasattr(state, "tensor_network"):
+        return contract_network(*state.tensor_network()).ravel()
     raise TypeError(f"cannot evaluate {type(state).__name__}")
 
 

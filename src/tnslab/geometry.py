@@ -5,14 +5,19 @@ All dimensions are complex: ranks and nullities of complex matrices.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapacityError
-from .mps_pbc import eval_pbc
-from .tensors import DEFAULT_TOL, as_array, matrix_rank
+from .mps_pbc import MpsPbc, eval_pbc
+from .tensors import (
+    DEFAULT_TOL,
+    as_array,
+    check_capacity,
+    matrix_rank,
+    site_environment,
+)
 from .zoo import psi_tau_tensors, two_domain_state
 
 MAX_STABILIZER_PARAMS = 512
@@ -76,34 +81,25 @@ def stabilizer_lie_dim(psi, site_dims, tol: float = DEFAULT_TOL) -> int:
         )
     if not np.any(arr):
         raise ValueError("psi must be nonzero")
+    check_capacity(arr.size * params, what="stabilizer matrix")
     cols = np.empty((arr.size, params), dtype=np.complex128)
     c = 0
     for j, d in enumerate(dims):
-        moved = np.moveaxis(arr, j, 0)
-        for a in range(d):
-            for b in range(d):
-                col = np.zeros_like(moved)
-                col[a] = moved[b]
-                cols[:, c] = np.moveaxis(col, 0, j).ravel()
-                c += 1
+        # X_j -> (X_j on site j)|psi> is the environment of an operator on leg j
+        legs = [[n if k == j else k for k in range(n)], (j, n)]
+        cols[:, c : c + d * d] = site_environment([arr, np.eye(d)], legs, range(n), 1)
+        c += d * d
     nullity = params - matrix_rank(cols, tol)
     return nullity - (n - 1)
-
-
-def _ring_vec(arrs: list[np.ndarray]) -> np.ndarray:
-    acc = arrs[0]
-    for t in arrs[1:]:
-        acc = np.tensordot(acc, t, axes=([acc.ndim - 1], [1]))
-        acc = np.moveaxis(acc, -3, -2)
-    return np.trace(acc, axis1=-2, axis2=-1).ravel()
 
 
 def jacobian_rank(tensors, tol: float = DEFAULT_TOL) -> int:
     """Complex rank of the differential of (A_1..A_N) -> ring state.
 
-    Each partial derivative is the ring evaluated with one tensor replaced by
-    a unit tensor; the rank of the resulting (params x d^N) matrix is the
-    local dimension of the parametrized set at this point.
+    The state is linear in each tensor, so the partial derivatives in site j's
+    entries are the columns of its site environment; the rank of those
+    matrices stacked side by side (d^N x params) is the local dimension of
+    the parametrized set at this point.
     """
     arrs = [np.asarray(as_array(t)) for t in tensors]
     n = len(arrs)
@@ -117,16 +113,9 @@ def jacobian_rank(tensors, tol: float = DEFAULT_TOL) -> int:
         raise CapacityError(
             f"jacobian has {params} parameters, cap {MAX_JACOBIAN_PARAMS}"
         )
-    cols = np.empty((d ** n, params), dtype=np.complex128)
-    c = 0
-    for j in range(n):
-        for s in range(d):
-            for a in range(m):
-                for b in range(m):
-                    unit = np.zeros((d, m, m), dtype=np.complex128)
-                    unit[s, a, b] = 1.0
-                    cols[:, c] = _ring_vec(arrs[:j] + [unit] + arrs[j + 1:])
-                    c += 1
+    check_capacity(d ** n * params, what="jacobian")
+    network = MpsPbc(arrs).tensor_network()
+    cols = np.hstack([site_environment(*network, j) for j in range(n)])
     return matrix_rank(cols, tol)
 
 

@@ -126,9 +126,9 @@ def random_mera(L: int, m: int, d: int, seed: int) -> Mera:
         us = []
         ws = []
         for _ in range(n_in // 2):
-            us.append(DenseTensor(_random_unitary(rng, f * f)))
+            us.append(DenseTensor(_random_isometry(rng, f * f, f * f)))
         for _ in range(n_in // 2):
-            q = _random_isometry_columns(rng, f * f, m)
+            q = _random_isometry(rng, f * f, m)
             ws.append(DenseTensor(q.conj().T))
         layers.append(MeraLayer(tuple(us), tuple(ws)))
     top = rng.standard_normal(m) + 1j * rng.standard_normal(m)
@@ -136,13 +136,8 @@ def random_mera(L: int, m: int, d: int, seed: int) -> Mera:
     return Mera(L, m, d, layers, DenseTensor(top))
 
 
-def _random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def _random_isometry_columns(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+def _random_isometry(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """Orthonormal columns from the QR of a complex Gaussian; a unitary when square."""
     g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     q, r = np.linalg.qr(g)
     return q * (np.diag(r) / np.abs(np.diag(r)))

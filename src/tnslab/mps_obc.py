@@ -18,7 +18,7 @@ from .tensors import (
     DEFAULT_TOL,
     DenseTensor,
     as_array,
-    check_capacity,
+    contract_network,
     reduced_qr,
     reduced_rq,
 )
@@ -68,8 +68,26 @@ class MpsObc:
         """Interior bond dimensions m_1 ... m_{N-1}."""
         return tuple(t.shape[2] for t in self.tensors[:-1])
 
+    def tensor_network(self):
+        return chain_network(self.tensors)
+
     def __repr__(self) -> str:
         return f"MpsObc(site_dims={self.site_dims}, bond_dims={self.bond_dims})"
+
+
+def chain_network(tensors):
+    """Arrays, axis labels and open legs of a chain of (d, left, right) tensors
+    closed into a ring, for `contract_network`.
+
+    Site k has labels (k, n + k, n + (k + 1) % n): its physical leg, then its
+    left and right bonds.  An open chain's boundary bonds have dimension 1,
+    so closing it costs nothing.  A single site closes through an identity.
+    """
+    arrays = [as_array(t) for t in tensors]
+    n = len(arrays)
+    if n == 1:
+        return arrays + [np.eye(arrays[0].shape[1])], [(0, 1, 2), (2, 1)], (0,)
+    return arrays, [(k, n + k, n + (k + 1) % n) for k in range(n)], tuple(range(n))
 
 
 @dataclass(frozen=True)
@@ -83,13 +101,7 @@ class SchmidtData:
 
 def eval_obc(mps: MpsObc, cap: int = DEFAULT_EVAL_CAP) -> DenseTensor:
     """Materialize the full state tensor of shape d_1 x ... x d_N."""
-    dims = mps.site_dims
-    check_capacity(math.prod(dims), cap=cap, what="full state")
-    acc = as_array(mps.tensors[0])[:, 0, :]
-    for t in mps.tensors[1:]:
-        acc = np.tensordot(acc, as_array(t), axes=([acc.ndim - 1], [1]))
-        check_capacity(acc.size, what="evaluation intermediate")
-    return DenseTensor(acc[..., 0])
+    return DenseTensor(contract_network(*mps.tensor_network(), cap))
 
 
 def from_state_obc(psi, dims, max_bond: int | None = None) -> MpsObc:

@@ -17,12 +17,18 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
-    CapacityError,
     DegeneracyError,
     DimensionMismatchError,
     NormalizationError,
 )
-from .tensors import DEFAULT_EVAL_CAP, DenseTensor, as_array, check_capacity
+from .mps_obc import chain_network
+from .tensors import (
+    DEFAULT_EVAL_CAP,
+    DenseTensor,
+    as_array,
+    check_capacity,
+    contract_network,
+)
 
 # Relative tolerance for clustering eigenvalue magnitudes and deciding
 # fixed-point ranks inside the canonical decomposition.
@@ -69,6 +75,9 @@ class MpsPbc:
     def site_dims(self) -> tuple[int, ...]:
         return tuple(t.shape[0] for t in self.tensors)
 
+    def tensor_network(self):
+        return chain_network(self.tensors)
+
     def __repr__(self) -> str:
         return (
             f"MpsPbc(site_dims={self.site_dims}, m={self.bond_dim}, "
@@ -109,27 +118,21 @@ class CanonicalBlocks:
 
 def eval_pbc(mps: MpsPbc, cap: int = DEFAULT_EVAL_CAP) -> DenseTensor:
     """Full state tensor; amplitude at s is the trace of the cyclic product."""
-    dims = mps.site_dims
-    check_capacity(math.prod(dims), cap=cap, what="full state")
-    acc = as_array(mps.tensors[0])
-    for t in mps.tensors[1:]:
-        # acc is (d_1..d_k, a, b); contract b with the next left bond, then
-        # move a back next to the fresh right bond
-        acc = np.tensordot(acc, as_array(t), axes=([acc.ndim - 1], [1]))
-        acc = np.moveaxis(acc, -3, -2)
-        check_capacity(acc.size, what="evaluation intermediate")
-    amp = np.trace(acc, axis1=-2, axis2=-1)
-    return DenseTensor(amp)
+    return DenseTensor(contract_network(*mps.tensor_network(), cap))
 
 
 def transfer_matrix(a) -> DenseTensor:
     """E = sum_s conj(A^s) (x) A^s as an m^2 x m^2 matrix."""
-    arr = _as_site_tensor(a)
-    m = arr.shape[1]
-    out = np.zeros((m * m, m * m), dtype=np.complex128)
-    for sigma in range(arr.shape[0]):
-        out += np.kron(arr[sigma].conj(), arr[sigma])
-    return DenseTensor(out)
+    return DenseTensor(transfer_array(_as_site_tensor(a)))
+
+
+def transfer_array(a: np.ndarray) -> np.ndarray:
+    """sum_s conj(A^s) (x) A^s for a (d, ml, mr) array, as an ml^2 x mr^2 array."""
+    d, ml, mr = a.shape
+    out = np.zeros((ml * ml, mr * mr), dtype=np.complex128)
+    for s in range(d):
+        out += np.kron(a[s].conj(), a[s])
+    return out
 
 
 def block_tensor(a, ell: int) -> DenseTensor:
@@ -272,15 +275,7 @@ def _orthonormal_rows(mat: np.ndarray, tol: float) -> np.ndarray:
 
 def _channel_matrix(kraus: np.ndarray) -> np.ndarray:
     """Matrix of X -> sum_s A^s X A^s+ acting on row-major vec(X)."""
-    m = kraus.shape[1]
-    out = np.zeros((m * m, m * m), dtype=np.complex128)
-    for s in range(kraus.shape[0]):
-        out += np.kron(kraus[s], kraus[s].conj())
-    return out
-
-
-def _apply_channel(kraus: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return sum(kraus[s] @ x @ kraus[s].conj().T for s in range(kraus.shape[0]))
+    return transfer_array(kraus).conj()
 
 
 def _hermitian_fixed_basis(kmat: np.ndarray, m: int, tol: float) -> list[np.ndarray]:

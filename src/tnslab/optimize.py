@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
 
-from .errors import NormalizationError
-from .mps_obc import MpsObc, eval_obc
-from .mps_pbc import MpsPbc, eval_pbc
-from .tensors import DenseTensor, as_array
+from .errors import NormalizationError, TnsError
+from .mps_obc import MpsObc, chain_network
+from .mps_pbc import MpsPbc, transfer_array
+from .tensors import DenseTensor, as_array, contract_network, site_environment
 
 RIDGE = 1e-12
 SWEEP_TOL = 1e-10
@@ -107,12 +108,29 @@ def _tensor_arrays(params) -> list[np.ndarray]:
     return [np.asarray(as_array(t)) for t in params.tensors]
 
 
-def _eval_vec(params) -> np.ndarray:
-    if isinstance(params, MpsObc):
-        return np.asarray(as_array(eval_obc(params))).ravel()
-    if isinstance(params, MpsPbc):
-        return np.asarray(as_array(eval_pbc(params))).ravel()
-    raise TypeError(f"unsupported parametrization {type(params).__name__}")
+class _Point(NamedTuple):
+    """A chain's raw site arrays, the iterate of the sweeps.  Line-search
+    trials are points, not containers, so a trial costs no validation scan
+    and one that overflows reaches objective_value, which rejects it."""
+
+    tensors: list
+    translation_invariant: bool
+
+    def tensor_network(self):
+        return chain_network(self.tensors)
+
+
+def _point(params) -> _Point:
+    ti = isinstance(params, MpsPbc) and params.translation_invariant
+    return _Point(_tensor_arrays(params), ti)
+
+
+def _with_site(params: _Point, site: int, arr: np.ndarray) -> _Point:
+    arrs = list(params.tensors)
+    arrs[site - 1] = arr
+    if params.translation_invariant:
+        arrs = [arr] * len(arrs)
+    return params._replace(tensors=arrs)
 
 
 def _site_lambdas(obj: Objective, nsites: int) -> list[float]:
@@ -124,18 +142,10 @@ def _site_lambdas(obj: Objective, nsites: int) -> list[float]:
     return [float(obj.reg_weight)] * nsites
 
 
-def _site_transfer(a: np.ndarray) -> np.ndarray:
-    d, ml, mr = a.shape
-    e = np.zeros((ml * ml, mr * mr), dtype=np.complex128)
-    for s in range(d):
-        e += np.kron(a[s].conj(), a[s])
-    return e
-
-
 def _transfer_product(arrs: list[np.ndarray]) -> np.ndarray:
     prod = None
     for a in arrs:
-        e = _site_transfer(a)
+        e = transfer_array(a)
         prod = e if prod is None else prod @ e
     return prod
 
@@ -154,9 +164,12 @@ def _reg_term(obj: Objective, params) -> float:
 
 
 def objective_value(obj: Objective, params) -> tuple[float, float]:
-    """(f, f_reg) at the given parameters; raises on a zero state."""
-    vec = _eval_vec(params)
-    norm = float(np.linalg.norm(vec))
+    """(f, f_reg) at the given parameters; raises on a zero or non-finite state."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+        vec = contract_network(*params.tensor_network()).ravel()
+        norm = float(np.linalg.norm(vec))
+    if not math.isfinite(norm):
+        raise NormalizationError("parametrized state is not finite")
     if norm == 0.0:
         raise NormalizationError("parametrized state has zero norm")
     if obj.kind == "distance":
@@ -175,56 +188,12 @@ def objective_value(obj: Objective, params) -> tuple[float, float]:
 def _overlap(obj: Objective, params) -> float:
     if obj.kind != "distance":
         return float("nan")
-    vec = _eval_vec(params)
+    vec = contract_network(*params.tensor_network()).ravel()
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         return float("nan")
     tvec = np.asarray(as_array(obj.target)).ravel()
     return float(abs(np.vdot(tvec, vec)) / norm)
-
-
-def _site_matrix_obc(arrs: list[np.ndarray], site: int) -> np.ndarray:
-    left = np.ones((1, 1), dtype=np.complex128)
-    for t in arrs[: site - 1]:
-        left = np.tensordot(left, t, axes=([1], [1])).reshape(-1, t.shape[2])
-    right = np.ones((1, 1), dtype=np.complex128)
-    for t in reversed(arrs[site:]):
-        tmp = np.tensordot(t, right, axes=([2], [0]))
-        right = tmp.transpose(1, 0, 2).reshape(t.shape[1], -1)
-    d, ml, mr = arrs[site - 1].shape
-    outer = np.einsum("xa,by->xyab", left, right)
-    mat = np.zeros((left.shape[0], d, right.shape[1], d, ml, mr), dtype=np.complex128)
-    for s in range(d):
-        mat[:, s, :, s, :, :] = outer
-    return mat.reshape(left.shape[0] * d * right.shape[1], d * ml * mr)
-
-
-def _site_matrix_pbc(arrs: list[np.ndarray], site: int) -> np.ndarray:
-    n = len(arrs)
-    d, m, _ = arrs[site - 1].shape
-    acc = np.eye(m, dtype=np.complex128).reshape(1, m, m)
-    for t in arrs[site:] + arrs[: site - 1]:
-        tmp = np.tensordot(acc, t, axes=([2], [1]))  # (P, x, d, b)
-        acc = tmp.transpose(0, 2, 1, 3).reshape(-1, m, t.shape[2])
-    # acc[q, x, y] is the bond product over sites site+1..N,1..site-1;
-    # the state closes the trace through the site tensor: sum_ab A[s,a,b] acc[q,b,a]
-    q = acc.shape[0]
-    env = acc.transpose(0, 2, 1)  # (q, a, b)
-    big = np.zeros((d, q, d, m, m), dtype=np.complex128)
-    for s in range(d):
-        big[s, :, s] = env
-    view = big.reshape((d,) * n + (d, m, m))
-    chain = list(range(site, n + 1)) + list(range(1, site))
-    perm = [chain.index(j) for j in range(1, n + 1)]
-    view = view.transpose(perm + [n, n + 1, n + 2])
-    return view.reshape(d ** n, d * m * m)
-
-
-def _site_matrix(params, site: int) -> np.ndarray:
-    arrs = _tensor_arrays(params)
-    if isinstance(params, MpsObc):
-        return _site_matrix_obc(arrs, site)
-    return _site_matrix_pbc(arrs, site)
 
 
 def _solve_normal(neff: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -271,23 +240,13 @@ def _candidate(obj: Objective, mat: np.ndarray, a_old: np.ndarray):
     return vec * float(np.linalg.norm(a_old)), ridged
 
 
-def _with_site(params, site: int, arr: np.ndarray):
-    arrs = _tensor_arrays(params)
-    arrs[site - 1] = arr
-    if isinstance(params, MpsObc):
-        return MpsObc(arrs)
-    if params.translation_invariant:
-        return MpsPbc([arr] * len(arrs), translation_invariant=True)
-    return MpsPbc(arrs, translation_invariant=False)
-
-
 def _als_step(obj: Objective, params, site: int):
     """One guarded local update; returns (new params, ridge_used)."""
     arrs = _tensor_arrays(params)
     shape = arrs[site - 1].shape
     a_old = arrs[site - 1].ravel()
     _, freg_old = objective_value(obj, params)
-    mat = _site_matrix(params, site)
+    mat = site_environment(*params.tensor_network(), site - 1)
     cand, ridged = _candidate(obj, mat, a_old)
     if cand is None:
         return params, ridged
@@ -295,8 +254,8 @@ def _als_step(obj: Objective, params, site: int):
     for k in range(_BACKTRACK_STEPS):
         t = 0.5 ** k
         a_new = (1.0 - t) * a_old + t * cand
+        trial = _with_site(params, site, a_new.reshape(shape))
         try:
-            trial = _with_site(params, site, a_new.reshape(shape))
             _, freg_new = objective_value(obj, trial)
         except NormalizationError:
             continue
@@ -309,8 +268,10 @@ def _als_step(obj: Objective, params, site: int):
 def als_sweep(obj: Objective, params, site: int):
     """Update one site tensor (the shared tensor, for translation-invariant
     parametrizations) so that f_reg does not increase."""
-    new, _ = _als_step(obj, params, site)
-    return new
+    new, _ = _als_step(obj, _point(params), site)
+    if isinstance(params, MpsObc):
+        return MpsObc(new.tensors)
+    return MpsPbc(new.tensors, translation_invariant=params.translation_invariant)
 
 
 def _metrics(obj: Objective, params, iteration: int, flag: str) -> TraceRecord:
@@ -341,7 +302,7 @@ def run_experiment(
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    params = init
+    params = _point(init)
     trace = RunTrace()
     rec = _metrics(obj, params, 0, "")
     trace.records.append(rec)
@@ -350,7 +311,7 @@ def run_experiment(
         trace.records[-1] = _metrics(obj, params, 0, trace.termination)
         return trace
     nsites = len(params.tensors)
-    ti = isinstance(params, MpsPbc) and params.translation_invariant
+    ti = params.translation_invariant
     freg0 = rec.f_reg
     prev = rec.f_reg
     for it in range(1, budget + 1):
@@ -365,12 +326,12 @@ def run_experiment(
         flag = "ridge" if ridge_seen else ""
         rec = _metrics(obj, params, it, flag)
         trace.records.append(rec)
-        if obj.reg_kind == "tensor_norm":
-            lams = _site_lambdas(obj, nsites)
-            held = sum(
-                l * n * n for l, n in zip(lams, rec.frobenius_norms)
+        if rec.f_reg > freg0 + SWEEP_TOL:
+            # the line search never accepts a rise, so f_reg(0) bounds every
+            # sweep; with f >= f_min that bounds the regularizer by f_reg(0) - f_min
+            raise TnsError(
+                f"sublevel bound violated: f_reg rose from {freg0!r} to {rec.f_reg!r}"
             )
-            assert held <= freg0 + SWEEP_TOL, "sublevel bound violated"
         if rec.max_abs_entry > divergence_threshold:
             trace.termination = "divergence_flag"
             break
@@ -403,7 +364,7 @@ def site_gradient(obj: Objective, params, site: int) -> DenseTensor:
     arrs = _tensor_arrays(params)
     shape = arrs[site - 1].shape
     a = arrs[site - 1].ravel()
-    mat = _site_matrix(params, site)
+    mat = site_environment(*params.tensor_network(), site - 1)
     vec = mat @ a
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
@@ -437,11 +398,11 @@ def _transfer_grad(arrs: list[np.ndarray], site: int) -> np.ndarray:
     d, ml, mr = a.shape
     left = np.eye(arrs[0].shape[1] ** 2, dtype=np.complex128)
     for t in arrs[: site - 1]:
-        left = left @ _site_transfer(t)
+        left = left @ transfer_array(t)
     right = np.eye(mr * mr, dtype=np.complex128)
     for t in arrs[site:]:
-        right = right @ _site_transfer(t)
-    prod = left @ _site_transfer(a) @ right
+        right = right @ transfer_array(t)
+    prod = left @ transfer_array(a) @ right
     m1 = (right @ prod.conj().T @ left).reshape(mr, mr, ml, ml)
     m2 = (right.conj() @ prod.T @ left.conj()).reshape(mr, mr, ml, ml)
     term1 = np.einsum("skl,blak->sab", a, m1)

@@ -12,7 +12,39 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatchError, NormalizationError
-from .tensors import DenseTensor, as_array, check_capacity
+from .tensors import DenseTensor, as_array, contract_network
+
+
+def parse_graph(dims, edges):
+    """Check a connected graph on vertices 1..N; return its site dims, its
+    edges as (i, j, m) with i < j, and each vertex's incident edge ids sorted
+    by (neighbor id, edge id)."""
+    dims = tuple(int(d) for d in dims)
+    n = len(dims)
+    if n < 1 or any(d < 1 for d in dims):
+        raise ValueError("site dimensions must be positive")
+    es = []
+    inc: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, n + 1)}
+    for e in edges:
+        i, j, m = (int(x) for x in e)
+        if not (1 <= i <= n and 1 <= j <= n) or i == j:
+            raise ValueError(f"bad edge ({i},{j}) for {n} vertices")
+        if m < 1:
+            raise ValueError("bond dimensions must be at least 1")
+        inc[i].append((j, len(es)))
+        inc[j].append((i, len(es)))
+        es.append((min(i, j), max(i, j), m))
+    seen = {1}
+    frontier = [1]
+    while frontier:
+        for w, _ in inc[frontier.pop()]:
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    if len(seen) != n:
+        raise ValueError("edge list does not connect all vertices")
+    incidence = {v: tuple(idx for _, idx in sorted(p)) for v, p in inc.items()}
+    return dims, tuple(es), incidence
 
 
 class PepsNetwork:
@@ -21,37 +53,7 @@ class PepsNetwork:
     __slots__ = ("dims", "edges", "_incidence")
 
     def __init__(self, dims, edges):
-        self.dims = tuple(int(d) for d in dims)
-        n = len(self.dims)
-        if n < 1 or any(d < 1 for d in self.dims):
-            raise ValueError("site dimensions must be positive")
-        es = []
-        for e in edges:
-            i, j, m = (int(x) for x in e)
-            if not (1 <= i <= n and 1 <= j <= n) or i == j:
-                raise ValueError(f"bad edge ({i},{j}) for {n} vertices")
-            if m < 1:
-                raise ValueError("bond dimensions must be at least 1")
-            es.append((min(i, j), max(i, j), m))
-        self.edges = tuple(es)
-        inc: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, n + 1)}
-        for idx, (i, j, _) in enumerate(self.edges):
-            inc[i].append((j, idx))
-            inc[j].append((i, idx))
-        if n > 1:
-            seen = {1}
-            frontier = [1]
-            while frontier:
-                v = frontier.pop()
-                for w, _ in inc[v]:
-                    if w not in seen:
-                        seen.add(w)
-                        frontier.append(w)
-            if len(seen) != n:
-                raise ValueError("edge list does not connect all vertices")
-        self._incidence = {
-            v: tuple(idx for _, idx in sorted(pairs)) for v, pairs in inc.items()
-        }
+        self.dims, self.edges, self._incidence = parse_graph(dims, edges)
 
     @property
     def n(self) -> int:
@@ -101,58 +103,21 @@ class Peps:
     def tensor_at(self, v: int) -> DenseTensor:
         return self.tensors[v - 1]
 
+    def tensor_network(self):
+        return graph_network(self.network, self.tensors)
+
+
+def graph_network(net, tensors):
+    """Arrays, axis labels and open legs of a tree or graph state for
+    `contract_network`: vertex v's physical leg is v - 1, edge k is n + k."""
+    n = net.n
+    labels = [(v - 1,) + tuple(n + k for k in net.incident(v)) for v in range(1, n + 1)]
+    return [t.array for t in tensors], labels, tuple(range(n))
+
 
 def eval_peps(p: Peps) -> DenseTensor:
-    """Exact contraction by greedy pairwise merging.
-
-    At each step the pair of nodes producing the smallest intermediate is
-    contracted (over all their shared edges at once); ties break on the
-    smallest shared edge id.  Intermediates are capacity-checked before
-    allocation.
-    """
-    net = p.network
-    nodes: list[tuple[np.ndarray, list[tuple]]] = []
-    for v in range(1, net.n + 1):
-        labels = [("p", v)] + [("e", idx) for idx in net.incident(v)]
-        nodes.append((np.asarray(as_array(p.tensor_at(v))), labels))
-    while len(nodes) > 1:
-        best = None
-        for ia in range(len(nodes)):
-            arr_a, lab_a = nodes[ia]
-            edges_a = {lb[1] for lb in lab_a if lb[0] == "e"}
-            for ib in range(ia + 1, len(nodes)):
-                arr_b, lab_b = nodes[ib]
-                shared = sorted(
-                    edges_a & {lb[1] for lb in lab_b if lb[0] == "e"}
-                )
-                if not shared:
-                    continue
-                shared_sz = math.prod(net.edge_dim(idx) for idx in shared)
-                size = (arr_a.size // shared_sz) * (arr_b.size // shared_sz)
-                key = (size, shared[0], ia, ib)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            raise ValueError("network is not connected")
-        size, _, ia, ib = best
-        check_capacity(size, what="contraction intermediate")
-        arr_a, lab_a = nodes[ia]
-        arr_b, lab_b = nodes[ib]
-        shared = sorted(
-            {lb[1] for lb in lab_a if lb[0] == "e"}
-            & {lb[1] for lb in lab_b if lb[0] == "e"}
-        )
-        ax_a = [lab_a.index(("e", idx)) for idx in shared]
-        ax_b = [lab_b.index(("e", idx)) for idx in shared]
-        merged = np.tensordot(arr_a, arr_b, axes=(ax_a, ax_b))
-        lab = [lb for k, lb in enumerate(lab_a) if k not in ax_a] + [
-            lb for k, lb in enumerate(lab_b) if k not in ax_b
-        ]
-        nodes = [nodes[k] for k in range(len(nodes)) if k not in (ia, ib)]
-        nodes.append((merged, lab))
-    arr, labels = nodes[0]
-    order = sorted(range(len(labels)), key=lambda k: labels[k][1])
-    return DenseTensor(arr.transpose(order))
+    """Exact contraction by greedy pairwise merging (see `contract_network`)."""
+    return DenseTensor(contract_network(*p.tensor_network()))
 
 
 def mu_peps(net: PepsNetwork) -> Peps:

@@ -53,20 +53,10 @@ def state_to_obj(state) -> dict:
             "translation_invariant": bool(state.translation_invariant),
             "tensors": [tensor_to_obj(t) for t in state.tensors],
         }
-    if isinstance(state, Ttns):
+    if isinstance(state, (Ttns, Peps)):
         net = state.network
         return {
-            "kind": "ttns",
-            "network": {
-                "dims": [int(d) for d in net.dims],
-                "edges": [[int(i), int(j), int(m)] for i, j, m in net.edges],
-            },
-            "tensors": [tensor_to_obj(t) for t in state.tensors],
-        }
-    if isinstance(state, Peps):
-        net = state.network
-        return {
-            "kind": "peps",
+            "kind": "ttns" if isinstance(state, Ttns) else "peps",
             "network": {
                 "dims": [int(d) for d in net.dims],
                 "edges": [[int(i), int(j), int(m)] for i, j, m in net.edges],
@@ -104,18 +94,13 @@ def state_from_obj(obj: dict):
             [tensor_from_obj(t) for t in obj["tensors"]],
             translation_invariant=bool(obj.get("translation_invariant", False)),
         )
-    if kind == "ttns":
-        net = TreeNetwork(
+    if kind in ("ttns", "peps"):
+        net_cls, cls = (TreeNetwork, Ttns) if kind == "ttns" else (PepsNetwork, Peps)
+        net = net_cls(
             dims=[int(d) for d in obj["network"]["dims"]],
             edges=[tuple(e) for e in obj["network"]["edges"]],
         )
-        return Ttns(net, [tensor_from_obj(t) for t in obj["tensors"]])
-    if kind == "peps":
-        net = PepsNetwork(
-            dims=[int(d) for d in obj["network"]["dims"]],
-            edges=[tuple(e) for e in obj["network"]["edges"]],
-        )
-        return Peps(net, [tensor_from_obj(t) for t in obj["tensors"]])
+        return cls(net, [tensor_from_obj(t) for t in obj["tensors"]])
     if kind == "mera":
         layers = [
             (

@@ -7,6 +7,8 @@ tolerance convention is defined in exactly one place.
 """
 from __future__ import annotations
 
+import functools
+import math
 import os
 from dataclasses import dataclass
 
@@ -117,27 +119,118 @@ def contract(a, b, axis_pairs) -> DenseTensor:
     aa = as_array(a)
     bb = as_array(b)
     pairs = [(int(i), int(j)) for i, j in axis_pairs]
+    lab_b = list(range(aa.ndim, aa.ndim + bb.ndim))
     for i, j in pairs:
         if not (0 <= i < aa.ndim and 0 <= j < bb.ndim):
             raise DimensionMismatchError(
                 f"axis pair ({i},{j}) out of range for shapes {aa.shape}, {bb.shape}"
             )
-        if aa.shape[i] != bb.shape[j]:
-            raise DimensionMismatchError(
-                f"axis {i} of shape {aa.shape} does not match axis {j} of {bb.shape}"
-            )
-    ax_a = [i for i, _ in pairs]
-    ax_b = [j for _, j in pairs]
-    out_size = 1
-    for k, ext in enumerate(aa.shape):
-        if k not in ax_a:
-            out_size *= ext
-    for k, ext in enumerate(bb.shape):
-        if k not in ax_b:
-            out_size *= ext
-    check_capacity(out_size, what="contraction result")
-    out = np.tensordot(aa, bb, axes=(ax_a, ax_b))
+        lab_b[j] = i
+    open_labels = [k for k in range(aa.ndim) if k not in dict(pairs)]
+    open_labels += [lb for lb in lab_b if lb >= aa.ndim]
+    out = contract_network([aa, bb], [range(aa.ndim), lab_b], open_labels, None)
     return DenseTensor(out)
+
+
+def contract_network(
+    arrays, labels, open_labels, cap: int | None = DEFAULT_EVAL_CAP
+) -> np.ndarray:
+    """Contract a tensor network into one array with axes ordered as `open_labels`.
+
+    `labels[k]` names the axes of `arrays[k]`.  A label in `open_labels`
+    appears once in the network; every other label appears twice and is
+    summed over.  The final array is checked against `cap` (None: the
+    capacity cap) and every intermediate against the capacity cap, before
+    anything is allocated.
+    """
+    labels = tuple(map(tuple, labels))
+    shapes = tuple(a.shape for a in arrays)
+    steps, perm, size, peak = _plan(labels, shapes, tuple(open_labels))
+    check_capacity(size, cap=cap, what="contraction result")
+    check_capacity(peak, what="contraction intermediate")
+    nodes = list(arrays)
+    for ia, ib, ax_a, ax_b in steps:
+        b = nodes.pop(ib)
+        a = nodes.pop(ia)
+        nodes.append(np.tensordot(a, b, axes=(ax_a, ax_b)))
+    return nodes[0].transpose(perm)
+
+
+# Contraction plans kept, keyed on labels and shapes; one per network
+# structure in use, so a sweep over a chain needs one per site and one more.
+PLAN_MEMO_SIZE = 256
+
+
+@functools.lru_cache(maxsize=PLAN_MEMO_SIZE)
+def _plan(labels: tuple, shapes: tuple, open_labels: tuple):
+    """Greedy pairwise order: merge the pair whose result is smallest; take an
+    outer product only when no two nodes share a label.  Ties go to the
+    earliest pair.  Returns (steps, final permutation, size, peak size)."""
+    ext: dict = {}
+    seen: dict = {}
+    for labs, shape in zip(labels, shapes):
+        if len(labs) != len(shape):
+            raise DimensionMismatchError(f"{len(labs)} labels for shape {shape}")
+        if len(set(labs)) != len(labs):
+            raise ValueError(f"labels {labs} repeat on one tensor")
+        for lb, e in zip(labs, shape):
+            if ext.setdefault(lb, e) != e:
+                raise DimensionMismatchError(
+                    f"label {lb!r} has extents {ext[lb]} and {e}"
+                )
+            seen[lb] = seen.get(lb, 0) + 1
+    for lb, k in seen.items():
+        if k != (1 if lb in open_labels else 2):
+            raise ValueError(f"label {lb!r} appears {k} times")
+    if set(open_labels) - set(seen) or len(set(open_labels)) != len(open_labels):
+        raise ValueError("open labels must name distinct legs of the network")
+    nodes = [list(labs) for labs in labels]
+    steps = []
+    peak = 0
+    while len(nodes) > 1:
+        best = None
+        for ia in range(len(nodes)):
+            for ib in range(ia + 1, len(nodes)):
+                shared = [lb for lb in nodes[ia] if lb in nodes[ib]]
+                merged = [lb for lb in nodes[ia] + nodes[ib] if lb not in shared]
+                key = (not shared, math.prod(ext[lb] for lb in merged), ia, ib)
+                if best is None or key < best[0]:
+                    best = (key, shared, merged)
+        (_, size, ia, ib), shared, merged = best
+        lab_b = nodes.pop(ib)
+        lab_a = nodes.pop(ia)
+        ax_a = tuple(lab_a.index(lb) for lb in shared)
+        ax_b = tuple(lab_b.index(lb) for lb in shared)
+        steps.append((ia, ib, ax_a, ax_b))
+        nodes.append(merged)
+        peak = max(peak, size)
+    perm = tuple(nodes[0].index(lb) for lb in open_labels)
+    return tuple(steps), perm, math.prod(ext[lb] for lb in open_labels), peak
+
+
+# Tags the column copy of a vertex's open leg in `site_environment`.
+_COLUMN = object()
+
+
+def site_environment(arrays, labels, open_labels, vertex: int) -> np.ndarray:
+    """Matrix M with M @ vec(arrays[vertex]) = vec(contract_network(...)).
+
+    The vertex is replaced by a delta that passes each of its open legs
+    through to a column leg, and the network is contracted with the vertex's
+    bonds left open.  Rows follow `open_labels`, columns the vertex's axes.
+    """
+    labs = tuple(labels[vertex])
+    own = [lb for lb in labs if lb in open_labels]
+    dims = [arrays[vertex].shape[labs.index(lb)] for lb in own]
+    delta = np.eye(math.prod(dims)).reshape(dims + dims)
+    rest = [k for k in range(len(arrays)) if k != vertex]
+    mat = contract_network(
+        [arrays[k] for k in rest] + [delta],
+        [labels[k] for k in rest] + [own + [(_COLUMN, lb) for lb in own]],
+        list(open_labels) + [(_COLUMN, lb) if lb in own else lb for lb in labs],
+        cap=None,
+    )
+    return mat.reshape(-1, arrays[vertex].size)
 
 
 def svd(m, tol: float = DEFAULT_TOL) -> SvdResult:

@@ -12,11 +12,12 @@ from .errors import (
     NormalizationError,
     RankError,
 )
+from .peps import graph_network, parse_graph
 from .tensors import (
     DEFAULT_EVAL_CAP,
     DenseTensor,
     as_array,
-    check_capacity,
+    contract_network,
     reduced_qr,
     reduced_rq,
 )
@@ -29,56 +30,31 @@ def _edge_key(i: int, j: int) -> tuple[int, int]:
 class TreeNetwork:
     """Connected loop-free graph on vertices 1..N with site and bond dims."""
 
-    __slots__ = ("dims", "edges", "_adj")
+    __slots__ = ("dims", "edges", "_incidence")
 
     def __init__(self, dims, edges):
-        self.dims = tuple(int(d) for d in dims)
+        self.dims, self.edges, self._incidence = parse_graph(dims, edges)
         n = len(self.dims)
-        if n < 1 or any(d < 1 for d in self.dims):
-            raise ValueError("site dimensions must be positive")
-        es = []
-        seen = set()
-        for e in edges:
-            i, j, m = (int(x) for x in e)
-            if not (1 <= i <= n and 1 <= j <= n) or i == j:
-                raise ValueError(f"bad edge ({i},{j}) for {n} vertices")
-            if m < 1:
-                raise ValueError("bond dimensions must be at least 1")
-            key = _edge_key(i, j)
-            if key in seen:
-                raise ValueError(f"duplicate edge {key}")
-            seen.add(key)
-            es.append((key[0], key[1], m))
-        if len(es) != n - 1:
-            raise ValueError(f"a tree on {n} vertices needs {n - 1} edges, got {len(es)}")
-        adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-        for i, j, _ in es:
-            adj[i].append(j)
-            adj[j].append(i)
-        # connectivity
-        if n > 1:
-            seen_v = {1}
-            queue = deque([1])
-            while queue:
-                v = queue.popleft()
-                for w in adj[v]:
-                    if w not in seen_v:
-                        seen_v.add(w)
-                        queue.append(w)
-            if len(seen_v) != n:
-                raise ValueError("edge list does not connect all vertices")
-        self.edges = tuple(es)
-        self._adj = {v: tuple(sorted(nbs)) for v, nbs in adj.items()}
+        if len({(i, j) for i, j, _ in self.edges}) != len(self.edges):
+            raise ValueError("duplicate edge")
+        if len(self.edges) != n - 1:
+            raise ValueError(
+                f"a tree on {n} vertices needs {n - 1} edges, got {len(self.edges)}"
+            )
 
     @property
     def n(self) -> int:
         return len(self.dims)
 
+    def incident(self, v: int) -> tuple[int, ...]:
+        """Edge ids at v, sorted by neighbor id."""
+        return self._incidence[v]
+
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        return tuple(sum(self.edges[k][:2]) - v for k in self._incidence[v])
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self._incidence[v])
 
     def edge_dim(self, i: int, j: int) -> int:
         key = _edge_key(i, j)
@@ -147,34 +123,16 @@ class Ttns:
     def tensor_at(self, v: int) -> DenseTensor:
         return self.tensors[v - 1]
 
+    def tensor_network(self):
+        return graph_network(self.network, self.tensors)
+
     def __repr__(self) -> str:
         return f"Ttns(n={self.network.n}, dims={self.network.dims})"
 
 
 def eval_ttns(t: Ttns, cap: int = DEFAULT_EVAL_CAP) -> DenseTensor:
     """Contract the whole tree into the dense state (axes ordered by vertex id)."""
-    net = t.network
-    check_capacity(math.prod(net.dims), cap=cap, what="full state")
-
-    def sub(v: int, parent: int | None):
-        arr = as_array(t.tensor_at(v))
-        labels: list[tuple] = [("p", v)] + [("b", v, nb) for nb in net.neighbors(v)]
-        for nb in net.neighbors(v):
-            if nb == parent:
-                continue
-            carr, clabels = sub(nb, v)
-            i = labels.index(("b", v, nb))
-            j = clabels.index(("b", nb, v))
-            arr = np.tensordot(arr, carr, axes=([i], [j]))
-            check_capacity(arr.size, what="tree contraction intermediate")
-            labels = [lb for k, lb in enumerate(labels) if k != i] + [
-                lb for k, lb in enumerate(clabels) if k != j
-            ]
-        return arr, labels
-
-    arr, labels = sub(1, None)
-    order = sorted(range(len(labels)), key=lambda k: labels[k][1])
-    return DenseTensor(arr.transpose(order))
+    return DenseTensor(contract_network(*t.tensor_network(), cap))
 
 
 def _visit_order(net: TreeNetwork, root: int, outward: bool) -> list[int]:

@@ -12,9 +12,9 @@ import math
 import numpy as np
 
 from .errors import CapacityError, DimensionMismatchError
-from .mps_obc import MpsObc
+from .mps_obc import MpsObc, chain_network
 from .mps_pbc import MpsPbc
-from .tensors import DenseTensor, as_array, check_capacity
+from .tensors import DenseTensor, as_array, check_capacity, contract_network
 
 MAX_SPIN_CHAIN = 8
 
@@ -264,15 +264,8 @@ def _s_mpo_blocks(factors, s1: float, t: float) -> list[np.ndarray]:
 
 def s_values(s_mpo) -> np.ndarray:
     """Diagonal of a contracted s chain, ordered by the flattened k string."""
-    blocks = [np.asarray(as_array(b)) for b in s_mpo]
-    dims = tuple(b.shape[2] for b in blocks)
-    vals = np.zeros(math.prod(dims), dtype=np.complex128)
-    for flat, ks in enumerate(np.ndindex(*dims)):
-        vec = np.array([1.0 + 0j])
-        for blk, k in zip(blocks, ks):
-            vec = vec @ blk[:, :, k, k]
-        vals[flat] = vec[0]
-    return vals.real
+    sites = [np.einsum("lrkk->klr", as_array(b)) for b in s_mpo]
+    return contract_network(*chain_network(sites)).ravel().real
 
 
 def block_cluster(tensors, grouping) -> DenseTensor:
@@ -290,27 +283,11 @@ def block_cluster(tensors, grouping) -> DenseTensor:
         raise ValueError("grouping must be contiguous and ordered")
     if idx[0] < 0 or idx[-1] >= len(tensors):
         raise ValueError("grouping out of range")
-    acc = np.asarray(as_array(tensors[idx[0]]))
-    if acc.ndim != 3:
-        raise DimensionMismatchError("chain tensors must have 3 axes")
-    for g in idx[1:]:
-        nxt = np.asarray(as_array(tensors[g]))
-        if nxt.ndim != 3:
-            raise DimensionMismatchError("chain tensors must have 3 axes")
-        if acc.shape[-1] != nxt.shape[1]:
-            raise DimensionMismatchError(
-                f"bond mismatch {acc.shape[-1]} vs {nxt.shape[1]} at position {g}"
-            )
-        check_capacity(
-            acc.size // acc.shape[-1] * nxt.size // nxt.shape[1],
-            what="blocked tensor",
-        )
-        acc = np.tensordot(acc, nxt, axes=([acc.ndim - 1], [1]))
-        # axes now (phys..., left, phys_new, right); keep physicals in order
-        acc = np.moveaxis(acc, -2, acc.ndim - 3)
-    left = acc.shape[acc.ndim - 2]
-    right = acc.shape[acc.ndim - 1]
-    return DenseTensor(acc.reshape(-1, left, right))
+    r = len(idx)
+    arrays = [as_array(tensors[g]) for g in idx]
+    labels = [(k, r + k, r + k + 1) for k in range(r)]
+    acc = contract_network(arrays, labels, tuple(range(r)) + (r, 2 * r), cap=None)
+    return DenseTensor(acc.reshape((-1,) + acc.shape[r:]))
 
 
 def fine_grained_psi_tau(n: int, m: int, eps: float, spec: FineGrainSpec):

@@ -77,3 +77,37 @@ def w_overlap_formula(n: int, eps: float) -> float:
 def w_max_entry_formula(n: int, eps: float) -> float:
     base = math.expm1(n * math.log1p(eps * eps))
     return math.sqrt(1 + eps * eps) * base ** (-1 / (2 * n))
+
+
+def einsum_state(tensors, legs, n: int) -> np.ndarray:
+    """Brute-force network contraction by one np.einsum call.
+
+    `legs[k]` names the axes of tensors[k]; ("p", v) is the physical leg of
+    site v (0-based) and every other name is a bond, summed over wherever it
+    appears.  The result has one axis per site, in site order.
+    """
+    ids: dict = {}
+    operands = []
+    for t, names in zip(tensors, legs):
+        axes = [ids.setdefault(x, len(ids)) for x in names]
+        operands += [np.asarray(t, dtype=complex), axes]
+    return np.einsum(*operands, [ids[("p", v)] for v in range(n)])
+
+
+def chain_legs(n: int, periodic: bool) -> list:
+    """Legs of (d, left, right) chain tensors; an open chain's two boundary
+    bonds have dimension 1 and are left unmatched, which sums them out."""
+    right = [(k + 1) % n if periodic else k + 1 for k in range(n)]
+    return [[("p", k), ("b", k), ("b", right[k])] for k in range(n)]
+
+
+def graph_legs(n: int, edges) -> list:
+    """Legs of graph tensors on vertices 1..n: the physical leg, then one bond
+    per incident edge, sorted by (neighbor id, edge id)."""
+    legs = []
+    for v in range(1, n + 1):
+        inc = sorted(
+            (i + j - v, idx) for idx, (i, j, _) in enumerate(edges) if v in (i, j)
+        )
+        legs.append([("p", v - 1)] + [("e", idx) for _, idx in inc])
+    return legs

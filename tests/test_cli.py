@@ -250,6 +250,25 @@ def test_optimize_regularized_run(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("seed", [0, 3, 8])
+def test_optimize_rejects_overflowing_trials(tmp_path, capsys, seed):
+    # these starts make line-search trials whose ring state overflows; each
+    # such trial must be rejected rather than abort the run
+    report = tmp_path / "trace.csv"
+    code = main(
+        [
+            "optimize", "--objective", "distance", "--set", "ti", "--n", "11",
+            "--m", "2", "--reg", "tensor_norm", "--lambda", "1e-3",
+            "--budget", "20", "--seed", str(seed), "--out", str(report),
+        ]
+    )
+    assert code == 0
+    _, rows = _read_csv(report)
+    fregs = [float(r[2]) for r in rows]
+    assert all(b <= a + 1e-12 for a, b in zip(fregs, fregs[1:]))
+    capsys.readouterr()
+
+
 def test_usage_errors_exit_64(tmp_path, capsys):
     assert main(["transmogrify"]) == 64
     assert main(["construct"]) == 64

@@ -1,0 +1,142 @@
+"""The contraction core behind every evaluator: each container's state against
+a brute-force einsum, site environments, and the capacity guard."""
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tnslab.errors import CapacityError
+from tnslab.mps_obc import MpsObc, eval_obc
+from tnslab.mps_pbc import MpsPbc, eval_pbc, ti_mps
+from tnslab.peps import Peps, PepsNetwork, eval_peps, mu_peps, ring_network
+from tnslab.tensors import contract_network, site_environment
+from tnslab.ttns import TreeNetwork, Ttns, eval_ttns
+
+from helpers import chain_legs, einsum_state, graph_legs
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def _cnormal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _random_obc(rng, n):
+    d = rng.integers(1, 4, size=n)
+    bonds = [1] + list(rng.integers(1, 4, size=n - 1)) + [1]
+    return MpsObc([_cnormal(rng, (d[k], bonds[k], bonds[k + 1])) for k in range(n)])
+
+
+def _random_pbc(rng, n, ti):
+    m = int(rng.integers(1, 4))
+    if ti:
+        return ti_mps(_cnormal(rng, (int(rng.integers(1, 4)), m, m)), n)
+    return MpsPbc([_cnormal(rng, (int(rng.integers(1, 4)), m, m)) for _ in range(n)])
+
+
+def _graph_tensors(rng, n, dims, edges):
+    legs = graph_legs(n, edges)
+    shapes = [(dims[v],) + tuple(edges[e[1]][2] for e in legs[v][1:]) for v in range(n)]
+    return [_cnormal(rng, s) for s in shapes]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, n=st.integers(1, 5))
+def test_eval_obc_matches_einsum(seed, n):
+    mps = _random_obc(np.random.default_rng(seed), n)
+    tensors = [t.array for t in mps.tensors]
+    _assert_close(eval_obc(mps).array, einsum_state(tensors, chain_legs(n, False), n))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, n=st.integers(1, 5), ti=st.booleans())
+def test_eval_pbc_matches_einsum(seed, n, ti):
+    mps = _random_pbc(np.random.default_rng(seed), n, ti)
+    tensors = [t.array for t in mps.tensors]
+    _assert_close(eval_pbc(mps).array, einsum_state(tensors, chain_legs(n, True), n))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, n=st.integers(1, 6))
+def test_eval_ttns_matches_einsum(seed, n):
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n) + 1  # random labels, so trees are not heap-ordered
+    edges = [
+        (int(order[v]), int(order[rng.integers(v)]), int(rng.integers(1, 4)))
+        for v in range(1, n)
+    ]
+    dims = [int(d) for d in rng.integers(1, 4, size=n)]
+    net = TreeNetwork(dims, edges)
+    tensors = _graph_tensors(rng, n, dims, net.edges)
+    want = einsum_state(tensors, graph_legs(n, net.edges), n)
+    _assert_close(eval_ttns(Ttns(net, tensors)).array, want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, n=st.integers(2, 5), extra=st.integers(0, 3))
+def test_eval_peps_matches_einsum(seed, n, extra):
+    rng = np.random.default_rng(seed)
+    # a random spanning tree, then extra edges that may close loops or run
+    # parallel to existing ones
+    edges = [
+        (v + 1, int(rng.integers(v)) + 1, int(rng.integers(1, 3))) for v in range(1, n)
+    ]
+    for _ in range(extra):
+        i, j = rng.choice(n, size=2, replace=False) + 1
+        edges.append((int(i), int(j), int(rng.integers(1, 3))))
+    dims = [int(d) for d in rng.integers(1, 3, size=n)]
+    net = PepsNetwork(dims, edges)
+    tensors = _graph_tensors(rng, n, dims, net.edges)
+    want = einsum_state(tensors, graph_legs(n, net.edges), n)
+    _assert_close(eval_peps(Peps(net, tensors)).array, want)
+
+
+@pytest.mark.parametrize("kind", ["obc", "pbc", "ti"])
+def test_site_matrix_times_site_tensor_is_the_state(kind):
+    rng = np.random.default_rng(7)
+    n = 5
+    if kind == "obc":
+        mps = _random_obc(rng, n)
+    else:
+        mps = _random_pbc(rng, n, kind == "ti")
+    arrays, labels, open_labels = mps.tensor_network()
+    state = contract_network(arrays, labels, open_labels).ravel()
+    for k in range(n):
+        mat = site_environment(arrays, labels, open_labels, k)
+        assert mat.shape == (state.size, arrays[k].size)
+        _assert_close(mat @ arrays[k].ravel(), state)
+
+
+def test_site_matrix_goes_through_the_capacity_guard(monkeypatch):
+    mps = _random_pbc(np.random.default_rng(8), 4, False)
+    network = mps.tensor_network()
+    rows = np.prod(mps.site_dims)
+    monkeypatch.setenv("TNS_CAPACITY_CAP", str(rows * network[0][0].size - 1))
+    with pytest.raises(CapacityError):
+        site_environment(*network, 0)
+
+
+def test_oversized_peps_state_is_refused_before_allocation():
+    peps = mu_peps(ring_network(11, 2))  # 4^11 = 2^22 amplitudes
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            eval_peps(peps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # bytes; the state alone would take 64 MiB
+
+
+def test_disconnected_parts_join_by_outer_product():
+    a = np.arange(2.0)
+    b = np.arange(3.0)
+    got = contract_network([b, a], [("j",), ("i",)], ["i", "j"])
+    assert np.array_equal(got, np.outer(a, b))

@@ -11,6 +11,7 @@ from tnslab.geometry import (
     random_injective_point,
     stabilizer_lie_dim,
 )
+from tnslab.mps_pbc import MpsPbc, eval_pbc
 from tnslab.zoo import two_domain_state, w_state
 
 
@@ -49,11 +50,9 @@ def test_stabilizer_dimension_of_the_two_domain_state():
 
 def test_stabilizer_is_constant_along_the_orbit():
     # generic invertible deformations keep the pair-seed stabilizer dimension
-    from tnslab.geometry import _ring_vec
-
     for seed in range(10):
         arrs = [np.asarray(t) for t in random_injective_point(3, 2, seed)]
-        psi = _ring_vec(arrs)
+        psi = eval_pbc(MpsPbc(arrs))
         assert stabilizer_lie_dim(psi, [4, 4, 4]) == 9
 
 
@@ -70,6 +69,13 @@ def test_stabilizer_capacity_cap():
     psi = w_state(3, d=16).array
     with pytest.raises(CapacityError):
         stabilizer_lie_dim(psi, [16, 16, 16])
+
+
+def test_stabilizer_matrix_goes_through_the_capacity_guard(monkeypatch):
+    psi = w_state(4)
+    monkeypatch.setenv("TNS_CAPACITY_CAP", "100")  # the map is 16 x 16
+    with pytest.raises(CapacityError):
+        stabilizer_lie_dim(psi, [2] * 4)
 
 
 def test_jacobian_rank_at_an_injective_point():

@@ -16,7 +16,13 @@ from tnslab.optimize import (
     run_experiment,
     site_gradient,
 )
-from tnslab.zoo import psi_w_timps_tensor, psi_tau_tensors, w_state
+from tnslab.zoo import (
+    aklt_tensor,
+    blbq_hamiltonian,
+    psi_tau_tensors,
+    psi_w_timps_tensor,
+    w_state,
+)
 
 from helpers import random_state, w_overlap_formula
 
@@ -206,6 +212,19 @@ def test_tensor_norm_iterates_respect_the_initial_sublevel_set():
     for rec in trace.records:
         held = sum(lam * x * x for x in rec.frobenius_norms)
         assert held <= bound
+
+
+@pytest.mark.parametrize("ti", [True, False])
+def test_negative_energy_runs_complete(ti):
+    # the AKLT ring starts at negative energy, so f_reg(0) < lam * sum |A|^2;
+    # only a rise of f_reg breaks the sublevel guarantee
+    h = blbq_hamiltonian(4, math.atan(1.0 / 3.0), pbc=True)
+    obj = energy_objective(h, "tensor_norm", 1e-4)
+    init = ti_mps(aklt_tensor(), 4) if ti else MpsPbc([aklt_tensor()] * 4)
+    trace = run_experiment(obj, init, 2)
+    assert trace.records[0].f < 0
+    fregs = [r.f_reg for r in trace.records]
+    assert all(b <= a + 1e-12 for a, b in zip(fregs, fregs[1:]))
 
 
 def _fd_check(obj, params, site, rng):
