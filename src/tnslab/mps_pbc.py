@@ -128,11 +128,9 @@ def transfer_matrix(a) -> DenseTensor:
 
 def transfer_array(a: np.ndarray) -> np.ndarray:
     """sum_s conj(A^s) (x) A^s for a (d, ml, mr) array, as an ml^2 x mr^2 array."""
-    d, ml, mr = a.shape
-    out = np.zeros((ml * ml, mr * mr), dtype=np.complex128)
-    for s in range(d):
-        out += np.kron(a[s].conj(), a[s])
-    return out
+    _, ml, mr = a.shape
+    a = np.asarray(a, dtype=np.complex128)
+    return np.einsum("sab,scd->acbd", a.conj(), a).reshape(ml * ml, mr * mr)
 
 
 def block_tensor(a, ell: int) -> DenseTensor:

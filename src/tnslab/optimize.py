@@ -109,9 +109,9 @@ def _tensor_arrays(params) -> list[np.ndarray]:
 
 
 class _Point(NamedTuple):
-    """A chain's raw site arrays, the iterate of the sweeps.  Line-search
-    trials are points, not containers, so a trial costs no validation scan
-    and one that overflows reaches objective_value, which rejects it."""
+    """A chain's raw site arrays, the iterate of the sweeps.  Points are not
+    containers, so a trial costs no validation scan and one that overflows
+    reaches _state_value, which rejects it."""
 
     tensors: list
     translation_invariant: bool
@@ -142,12 +142,20 @@ def _site_lambdas(obj: Objective, nsites: int) -> list[float]:
     return [float(obj.reg_weight)] * nsites
 
 
-def _transfer_product(arrs: list[np.ndarray]) -> np.ndarray:
-    prod = None
-    for a in arrs:
-        e = transfer_array(a)
-        prod = e if prod is None else prod @ e
+def _transfer_product(arrs: list[np.ndarray], bond: int = 1) -> np.ndarray:
+    """E_1 ... E_k of the given site arrays; the identity on bond^2 for none."""
+    if not arrs:
+        return np.eye(bond * bond, dtype=np.complex128)
+    prod = transfer_array(arrs[0])
+    for a in arrs[1:]:
+        prod = prod @ transfer_array(a)
     return prod
+
+
+def _transfer_envs(arrs: list[np.ndarray], site: int):
+    """(E_1 ... E_{site-1}, E_{site+1} ... E_N), the transfer environments."""
+    _, ml, mr = arrs[site - 1].shape
+    return _transfer_product(arrs[: site - 1], ml), _transfer_product(arrs[site:], mr)
 
 
 def _reg_term(obj: Objective, params) -> float:
@@ -163,10 +171,38 @@ def _reg_term(obj: Objective, params) -> float:
     return lam * float(np.linalg.norm(_transfer_product(arrs)) ** 2)
 
 
-def objective_value(obj: Objective, params) -> tuple[float, float]:
-    """(f, f_reg) at the given parameters; raises on a zero or non-finite state."""
+def _site_reg(obj: Objective, arrs: list[np.ndarray], site: int):
+    """The regularizer as a function of one flattened site array, the others
+    held fixed: everything but that site is summed or multiplied once."""
+    if obj.reg_kind == "none":
+        return lambda a: 0.0
+    if obj.reg_kind == "tensor_norm":
+        lams = _site_lambdas(obj, len(arrs))
+        rest = sum(
+            l * np.linalg.norm(x) ** 2
+            for k, (l, x) in enumerate(zip(lams, arrs))
+            if k != site - 1
+        )
+        lam = lams[site - 1]
+        return lambda a: float(rest + lam * np.linalg.norm(a) ** 2)
+    left, right = _transfer_envs(arrs, site)
+    lam, shape = float(obj.reg_weight), arrs[site - 1].shape
+    return lambda a: lam * float(
+        np.linalg.norm(left @ transfer_array(a.reshape(shape)) @ right) ** 2
+    )
+
+
+def _state_vector(params) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):  # _state_value rejects an overflow
+        return contract_network(*params.tensor_network()).ravel()
+
+
+def _state_value(obj: Objective, vec: np.ndarray) -> tuple[float, float]:
+    """(f, overlap) of a state vector; the overlap is nan for energies.
+
+    Raises on a zero or non-finite state.
+    """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
-        vec = contract_network(*params.tensor_network()).ravel()
         norm = float(np.linalg.norm(vec))
     if not math.isfinite(norm):
         raise NormalizationError("parametrized state is not finite")
@@ -176,24 +212,18 @@ def objective_value(obj: Objective, params) -> tuple[float, float]:
         tvec = np.asarray(as_array(obj.target)).ravel()
         if tvec.size != vec.size:
             raise ValueError("target and state dimensions differ")
-        f = 2.0 * (1.0 - abs(np.vdot(tvec, vec)) / norm)
-    else:
-        h = np.asarray(as_array(obj.hamiltonian))
-        if h.shape[0] != vec.size:
-            raise ValueError("hamiltonian and state dimensions differ")
-        f = float(np.vdot(vec, h @ vec).real) / (norm * norm)
+        overlap = float(abs(np.vdot(tvec, vec)) / norm)
+        return 2.0 * (1.0 - overlap), overlap
+    h = np.asarray(as_array(obj.hamiltonian))
+    if h.shape[0] != vec.size:
+        raise ValueError("hamiltonian and state dimensions differ")
+    return float(np.vdot(vec, h @ vec).real) / (norm * norm), float("nan")
+
+
+def objective_value(obj: Objective, params) -> tuple[float, float]:
+    """(f, f_reg) at the given parameters; raises on a zero or non-finite state."""
+    f, _ = _state_value(obj, _state_vector(params))
     return f, f + _reg_term(obj, params)
-
-
-def _overlap(obj: Objective, params) -> float:
-    if obj.kind != "distance":
-        return float("nan")
-    vec = contract_network(*params.tensor_network()).ravel()
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        return float("nan")
-    tvec = np.asarray(as_array(obj.target)).ravel()
-    return float(abs(np.vdot(tvec, vec)) / norm)
 
 
 def _solve_normal(neff: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -240,48 +270,68 @@ def _candidate(obj: Objective, mat: np.ndarray, a_old: np.ndarray):
     return vec * float(np.linalg.norm(a_old)), ridged
 
 
-def _als_step(obj: Objective, params, site: int):
-    """One guarded local update; returns (new params, ridge_used)."""
-    arrs = _tensor_arrays(params)
-    shape = arrs[site - 1].shape
-    a_old = arrs[site - 1].ravel()
-    _, freg_old = objective_value(obj, params)
+def _line_objective(obj: Objective, params: _Point, site: int, mat: np.ndarray):
+    """f_reg as a function of the flattened array at one site.
+
+    Unless the set is translation invariant the state is linear in that
+    array, so a trial costs a product with the site matrix plus the
+    regularizer with the other sites fixed.  A shared tensor enters every
+    site, so its trials are contracted in full.
+    """
+    shape = params.tensors[site - 1].shape
+    if params.translation_invariant:
+        return lambda a: objective_value(obj, _with_site(params, site, a.reshape(shape)))[1]
+    reg = _site_reg(obj, params.tensors, site)
+
+    def value(a: np.ndarray) -> float:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected
+            return _state_value(obj, mat @ a)[0] + reg(a)
+
+    return value
+
+
+def _als_step(obj: Objective, params: _Point, site: int, freg_old: float):
+    """One guarded local update from the current f_reg; returns
+    (new params, ridge_used, new f_reg)."""
+    a_old = params.tensors[site - 1].ravel()
     mat = site_environment(*params.tensor_network(), site - 1)
     cand, ridged = _candidate(obj, mat, a_old)
     if cand is None:
-        return params, ridged
-    best = params
+        return params, ridged, freg_old
+    value = _line_objective(obj, params, site, mat)
     for k in range(_BACKTRACK_STEPS):
         t = 0.5 ** k
         a_new = (1.0 - t) * a_old + t * cand
-        trial = _with_site(params, site, a_new.reshape(shape))
         try:
-            _, freg_new = objective_value(obj, trial)
+            freg_new = value(a_new)
         except NormalizationError:
             continue
         if freg_new <= freg_old:
-            best = trial
-            break
-    return best, ridged
+            shape = params.tensors[site - 1].shape
+            return _with_site(params, site, a_new.reshape(shape)), ridged, freg_new
+    return params, ridged, freg_old
 
 
 def als_sweep(obj: Objective, params, site: int):
     """Update one site tensor (the shared tensor, for translation-invariant
     parametrizations) so that f_reg does not increase."""
-    new, _ = _als_step(obj, _point(params), site)
+    point = _point(params)
+    _, freg = objective_value(obj, point)
+    new, _, _ = _als_step(obj, point, site, freg)
     if isinstance(params, MpsObc):
         return MpsObc(new.tensors)
     return MpsPbc(new.tensors, translation_invariant=params.translation_invariant)
 
 
 def _metrics(obj: Objective, params, iteration: int, flag: str) -> TraceRecord:
+    """The record of a full evaluation: one contraction of the state."""
     arrs = _tensor_arrays(params)
-    f, f_reg = objective_value(obj, params)
+    f, overlap = _state_value(obj, _state_vector(params))
     return TraceRecord(
         iteration=iteration,
         f=f,
-        f_reg=f_reg,
-        overlap=_overlap(obj, params),
+        f_reg=f + _reg_term(obj, params),
+        overlap=overlap,
         max_abs_entry=float(max(np.abs(a).max() for a in arrs)),
         frobenius_norms=tuple(float(np.linalg.norm(a)) for a in arrs),
         transfer_product_norm=float(np.linalg.norm(_transfer_product(arrs))),
@@ -316,13 +366,10 @@ def run_experiment(
     prev = rec.f_reg
     for it in range(1, budget + 1):
         ridge_seen = False
-        if ti:
-            params, ridged = _als_step(obj, params, 1)
+        freg = rec.f_reg  # a full evaluation, so trial values cannot drift across sweeps
+        for site in (1,) if ti else range(1, nsites + 1):
+            params, ridged, freg = _als_step(obj, params, site, freg)
             ridge_seen = ridge_seen or ridged
-        else:
-            for site in range(1, nsites + 1):
-                params, ridged = _als_step(obj, params, site)
-                ridge_seen = ridge_seen or ridged
         flag = "ridge" if ridge_seen else ""
         rec = _metrics(obj, params, it, flag)
         trace.records.append(rec)
@@ -395,13 +442,8 @@ def site_gradient(obj: Objective, params, site: int) -> DenseTensor:
 def _transfer_grad(arrs: list[np.ndarray], site: int) -> np.ndarray:
     """Wirtinger gradient of ||E_1...E_N||_F^2 in the site tensor conjugate."""
     a = arrs[site - 1]
-    d, ml, mr = a.shape
-    left = np.eye(arrs[0].shape[1] ** 2, dtype=np.complex128)
-    for t in arrs[: site - 1]:
-        left = left @ transfer_array(t)
-    right = np.eye(mr * mr, dtype=np.complex128)
-    for t in arrs[site:]:
-        right = right @ transfer_array(t)
+    _, ml, mr = a.shape
+    left, right = _transfer_envs(arrs, site)
     prod = left @ transfer_array(a) @ right
     m1 = (right @ prod.conj().T @ left).reshape(mr, mr, ml, ml)
     m2 = (right.conj() @ prod.T @ left.conj()).reshape(mr, mr, ml, ml)

@@ -7,6 +7,7 @@ so save followed by load is bit-faithful.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -23,18 +24,19 @@ def tensor_to_obj(tensor) -> dict:
     flat = arr.ravel()
     return {
         "shape": [int(s) for s in arr.shape],
-        "data": [[float(z.real), float(z.imag)] for z in flat],
+        "data": np.stack((flat.real, flat.imag), axis=-1).tolist(),
     }
 
 
 def tensor_from_obj(obj: dict) -> np.ndarray:
     shape = tuple(int(s) for s in obj["shape"])
     data = obj["data"]
-    flat = np.array(
-        [complex(re, im) for re, im in data], dtype=np.complex128
-    )
-    if flat.size != int(np.prod(shape)):
+    if not isinstance(data, list) or min(shape, default=0) < 0 or len(data) != math.prod(shape):
         raise ValueError("tensor data does not match its shape")
+    try:
+        flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
+    except (TypeError, ValueError) as exc:
+        raise ValueError("tensor data must be [re, im] number pairs") from exc
     return flat.reshape(shape)
 
 
@@ -121,7 +123,7 @@ def state_from_obj(obj: dict):
 
 def save_state(state, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_to_obj(state), fh)
+        fh.write(json.dumps(state_to_obj(state)))  # the C encoder; json.dump is pure Python
         fh.write("\n")
 
 

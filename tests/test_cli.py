@@ -98,6 +98,15 @@ def test_certify_failures_exit_two(tmp_path):
     assert main(["certify", "--input", str(ring), "--checks", "ti"]) == 2
 
 
+@pytest.mark.parametrize("data", [[1.0, 2.0], [["a", 0], [1, 0]]])
+def test_certify_malformed_tensor_data_exits_two(tmp_path, capsys, data):
+    path = tmp_path / "bad.json"
+    obj = {"kind": "dense_state", "tensor": {"shape": [2], "data": data}}
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["certify", "--input", str(path), "--checks", "wellformed"]) == 2
+    assert "[re, im] number pairs" in capsys.readouterr().err
+
+
 def test_certify_unknown_check_is_a_validation_error(tmp_path):
     out = tmp_path / "w.json"
     main(["construct", "--family", "w", "--n", "3", "--out", str(out)])

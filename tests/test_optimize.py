@@ -1,9 +1,11 @@
 """Sweep optimization: objectives, monotone descent, traces, gradients."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from tnslab import optimize
 from tnslab.errors import NormalizationError
 from tnslab.mps_obc import MpsObc, from_state_obc, gauge_transform
 from tnslab.mps_pbc import MpsPbc, ti_mps, transfer_matrix
@@ -16,6 +18,7 @@ from tnslab.optimize import (
     run_experiment,
     site_gradient,
 )
+from tnslab.tensors import site_environment
 from tnslab.zoo import (
     aklt_tensor,
     blbq_hamiltonian,
@@ -321,3 +324,81 @@ def test_transfer_product_term_is_gauge_invariant_inside_the_chain():
         arrs[bond] = np.einsum("ab,sbc->sac", z, arrs[bond])
         _, moved = objective_value(obj, MpsPbc(arrs))
         assert abs(moved - ref) <= 1e-10 * abs(ref)
+
+
+@pytest.mark.parametrize("kind", ["distance", "energy"])
+@pytest.mark.parametrize("shape", ["obc", "pbc"])
+@pytest.mark.parametrize("reg", ["none", "tensor_norm", "transfer_product"])
+def test_site_matrix_trials_match_full_evaluation(kind, shape, reg):
+    rng = np.random.default_rng(60)
+    n = 4
+    if kind == "distance":
+        obj = distance_objective(random_state(rng, (2,) * n), reg, 1e-2)
+    else:
+        h = rng.standard_normal((2**n, 2**n))
+        obj = energy_objective(h + h.T, reg, 1e-2)
+    if shape == "obc":
+        params = _random_obc(rng, (2,) * n, (2, 3, 2))
+    else:
+        params = _random_pbc(rng, n, 2, 2)
+    point = optimize._point(params)
+    for site in range(1, n + 1):
+        a_old = point.tensors[site - 1].ravel()
+        mat = site_environment(*point.tensor_network(), site - 1)
+        cand, _ = optimize._candidate(obj, mat, a_old)
+        value = optimize._line_objective(obj, point, site, mat)
+        for t in (1.0, 0.5, 2.0**-5, 2.0**-20):
+            a = (1.0 - t) * a_old + t * cand
+            trial = optimize._with_site(point, site, a.reshape(point.tensors[site - 1].shape))
+            _, want = objective_value(obj, trial)
+            assert abs(value(a) - want) <= 1e-12 * abs(want)
+
+
+def test_overflowing_site_matrix_trials_are_rejected_silently():
+    # the huge weight on site 1 makes its regularizer overflow for every
+    # candidate much longer than the current tensor
+    rng = np.random.default_rng(61)
+    arrs = [rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2)) for _ in range(4)]
+    arrs[1:] = [0.1 * a for a in arrs[1:]]
+    obj = distance_objective(
+        random_state(rng, (2,) * 4), "tensor_norm", (1e306, 1e-3, 1e-3, 1e-3)
+    )
+    values = []
+    line_objective = optimize._line_objective
+
+    def spy(*args):
+        value = line_objective(*args)
+        return lambda a: values.append(value(a)) or values[-1]
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(optimize, "_line_objective", spy)
+        warnings.simplefilter("error", RuntimeWarning)
+        trace = run_experiment(obj, MpsPbc(arrs), 5)
+    assert any(math.isinf(v) for v in values)
+    fregs = [r.f_reg for r in trace.records]
+    assert all(math.isfinite(x) for x in fregs)
+    assert all(b <= a for a, b in zip(fregs, fregs[1:]))
+
+
+def test_a_sweep_contracts_the_full_state_once(monkeypatch):
+    # line-search trials of a ring go through the site matrix; only the
+    # record that closes each sweep contracts the whole network
+    rng = np.random.default_rng(62)
+    obj = distance_objective(random_state(rng, (2,) * 6), "transfer_product", 1e-3)
+    contractions, trials = [], []
+    contract = optimize.contract_network
+    line_objective = optimize._line_objective
+
+    def counted_contract(*args, **kwargs):
+        contractions.append(1)
+        return contract(*args, **kwargs)
+
+    def counted_line_objective(*args):
+        value = line_objective(*args)
+        return lambda a: trials.append(1) or value(a)
+
+    monkeypatch.setattr(optimize, "contract_network", counted_contract)
+    monkeypatch.setattr(optimize, "_line_objective", counted_line_objective)
+    trace = run_experiment(obj, _random_pbc(rng, 6, 2, 2), budget=3)
+    assert len(trials) >= 6 * (len(trace.records) - 1)
+    assert len(contractions) == len(trace.records)

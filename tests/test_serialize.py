@@ -1,4 +1,5 @@
 """JSON round-trips for every supported container."""
+import io
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tnslab import serialize
 from tnslab.mera import random_mera
 from tnslab.mps_obc import MpsObc
 from tnslab.mps_pbc import ti_mps
@@ -18,7 +20,7 @@ from tnslab.serialize import (
     tensor_from_obj,
     tensor_to_obj,
 )
-from tnslab.tensors import DenseTensor
+from tnslab.tensors import DenseTensor, as_array
 from tnslab.ttns import TreeNetwork, Ttns
 from tnslab.zoo import aklt_tensor, w_state
 
@@ -101,6 +103,40 @@ def test_mera_round_trip():
     back = state_from_obj(state_to_obj(state))
     for tid in state.all_tensor_ids():
         assert np.abs(back.tensor(tid).array - state.tensor(tid).array).max() == 0.0
+
+
+def _per_amplitude_obj(tensor):
+    # the writer's original layout: one [re, im] list built per amplitude
+    arr = np.asarray(as_array(tensor))
+    return {
+        "shape": [int(s) for s in arr.shape],
+        "data": [[float(z.real), float(z.imag)] for z in arr.ravel()],
+    }
+
+
+@pytest.mark.parametrize("kind", ["mera", "dense"])
+def test_save_state_text_matches_the_per_amplitude_writer(tmp_path, monkeypatch, kind):
+    rng = np.random.default_rng(63)
+    if kind == "mera":
+        state = random_mera(8, 2, 2, 5)
+    else:
+        state = DenseTensor(rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8)))
+    path = tmp_path / "state.json"
+    save_state(state, path)
+    monkeypatch.setattr(serialize, "tensor_to_obj", _per_amplitude_obj)
+    want = io.StringIO()
+    json.dump(state_to_obj(state), want)
+    want.write("\n")
+    assert path.read_text(encoding="utf-8") == want.getvalue()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [[1.0, 2.0], [["a", 0], [1, 0]], [[1.0, 0.0, 0.0], [1.0, 0.0]], 7],
+)
+def test_malformed_tensor_data_is_a_value_error(data):
+    with pytest.raises(ValueError):
+        tensor_from_obj({"shape": [2], "data": data})
 
 
 def test_unknown_kind_rejected():
