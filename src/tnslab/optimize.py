@@ -19,7 +19,14 @@ import scipy.linalg
 from .errors import NormalizationError, TnsError
 from .mps_obc import MpsObc, chain_network
 from .mps_pbc import MpsPbc, transfer_array
-from .tensors import DenseTensor, as_array, contract_network, site_environment
+from .tensors import (
+    DenseTensor,
+    as_array,
+    capacity_cap,
+    check_capacity,
+    contract_network,
+    site_environment,
+)
 
 RIDGE = 1e-12
 SWEEP_TOL = 1e-10
@@ -158,6 +165,12 @@ def _transfer_envs(arrs: list[np.ndarray], site: int):
     return _transfer_product(arrs[: site - 1], ml), _transfer_product(arrs[site:], mr)
 
 
+def _norm(x: np.ndarray) -> float:
+    """Frobenius norm by BLAS nrm2, which scales as it sums, so entries near
+    the float range cannot overflow it (np.linalg.norm squares them first)."""
+    return float(scipy.linalg.norm(np.ravel(x), check_finite=False))
+
+
 def _reg_term(obj: Objective, params) -> float:
     if obj.reg_kind == "none":
         return 0.0
@@ -167,29 +180,44 @@ def _reg_term(obj: Objective, params) -> float:
         return float(
             sum(l * np.linalg.norm(a) ** 2 for l, a in zip(lams, arrs))
         )
-    lam = float(obj.reg_weight)
-    return lam * float(np.linalg.norm(_transfer_product(arrs)) ** 2)
+    nrm = _norm(_transfer_product(arrs))
+    return float(obj.reg_weight) * nrm * nrm
 
 
-def _site_reg(obj: Objective, arrs: list[np.ndarray], site: int):
-    """The regularizer as a function of one flattened site array, the others
-    held fixed: everything but that site is summed or multiplied once."""
-    if obj.reg_kind == "none":
-        return lambda a: 0.0
+def _reg_env(obj: Objective, arrs: list[np.ndarray], site: int):
+    """What the regularizer needs of the sites other than `site`: their
+    tensor_norm terms summed, or the transfer environments (L, R)."""
     if obj.reg_kind == "tensor_norm":
         lams = _site_lambdas(obj, len(arrs))
-        rest = sum(
+        return sum(
             l * np.linalg.norm(x) ** 2
             for k, (l, x) in enumerate(zip(lams, arrs))
             if k != site - 1
         )
-        lam = lams[site - 1]
-        return lambda a: float(rest + lam * np.linalg.norm(a) ** 2)
-    left, right = _transfer_envs(arrs, site)
-    lam, shape = float(obj.reg_weight), arrs[site - 1].shape
-    return lambda a: lam * float(
-        np.linalg.norm(left @ transfer_array(a.reshape(shape)) @ right) ** 2
-    )
+    if obj.reg_kind == "transfer_product":
+        return _transfer_envs(arrs, site)
+    return None
+
+
+def _site_reg(obj: Objective, arrs: list[np.ndarray], site: int, env=None):
+    """The regularizer as a function of one flattened site array, the others
+    held fixed: `env`, from `_reg_env` or a sweep's caches, holds everything
+    but that site."""
+    if obj.reg_kind == "none":
+        return lambda a: 0.0
+    if env is None:
+        env = _reg_env(obj, arrs, site)
+    if obj.reg_kind == "tensor_norm":
+        lam = _site_lambdas(obj, len(arrs))[site - 1]
+        return lambda a: float(env + lam * np.linalg.norm(a) ** 2)
+    (left, right), shape = env, arrs[site - 1].shape
+    lam = float(obj.reg_weight)
+
+    def value(a: np.ndarray) -> float:
+        nrm = _norm(left @ transfer_array(a.reshape(shape)) @ right)
+        return lam * nrm * nrm
+
+    return value
 
 
 def _state_vector(params) -> np.ndarray:
@@ -241,15 +269,16 @@ def _solve_normal(neff: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
 
 def _candidate(obj: Objective, mat: np.ndarray, a_old: np.ndarray):
     """Unconstrained minimizer of the local surrogate problem."""
-    neff = mat.conj().T @ mat
+    mat_h = mat.conj().T
+    neff = mat_h @ mat
     if obj.kind == "distance":
         tvec = np.asarray(as_array(obj.target)).ravel()
-        b = mat.conj().T @ tvec
+        b = mat_h @ tvec
         if not np.any(b):
             return None, False
         return _solve_normal(neff, b)
     h = np.asarray(as_array(obj.hamiltonian))
-    heff = mat.conj().T @ (h @ mat)
+    heff = mat_h @ (h @ mat)
     heff = (heff + heff.conj().T) / 2.0
     scale = max(1.0, float(np.abs(np.diag(neff)).max()))
     ridged = False
@@ -270,18 +299,18 @@ def _candidate(obj: Objective, mat: np.ndarray, a_old: np.ndarray):
     return vec * float(np.linalg.norm(a_old)), ridged
 
 
-def _line_objective(obj: Objective, params: _Point, site: int, mat: np.ndarray):
+def _line_objective(obj: Objective, params: _Point, site: int, mat: np.ndarray, env=None):
     """f_reg as a function of the flattened array at one site.
 
     Unless the set is translation invariant the state is linear in that
     array, so a trial costs a product with the site matrix plus the
-    regularizer with the other sites fixed.  A shared tensor enters every
-    site, so its trials are contracted in full.
+    regularizer with the other sites fixed (`env`, see `_site_reg`).  A
+    shared tensor enters every site, so its trials are contracted in full.
     """
     shape = params.tensors[site - 1].shape
     if params.translation_invariant:
         return lambda a: objective_value(obj, _with_site(params, site, a.reshape(shape)))[1]
-    reg = _site_reg(obj, params.tensors, site)
+    reg = _site_reg(obj, params.tensors, site, env)
 
     def value(a: np.ndarray) -> float:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected
@@ -290,15 +319,18 @@ def _line_objective(obj: Objective, params: _Point, site: int, mat: np.ndarray):
     return value
 
 
-def _als_step(obj: Objective, params: _Point, site: int, freg_old: float):
+def _als_step(obj: Objective, params: _Point, site: int, freg_old: float, mat=None, env=None):
     """One guarded local update from the current f_reg; returns
-    (new params, ridge_used, new f_reg)."""
+    (new params, ridge_used, new f_reg).  A sweep passes the site matrix and
+    the regularizer's environment from its caches; without them both are
+    built from the whole network."""
     a_old = params.tensors[site - 1].ravel()
-    mat = site_environment(*params.tensor_network(), site - 1)
+    if mat is None:
+        mat = site_environment(*params.tensor_network(), site - 1)
     cand, ridged = _candidate(obj, mat, a_old)
     if cand is None:
         return params, ridged, freg_old
-    value = _line_objective(obj, params, site, mat)
+    value = _line_objective(obj, params, site, mat, env)
     for k in range(_BACKTRACK_STEPS):
         t = 0.5 ** k
         a_new = (1.0 - t) * a_old + t * cand
@@ -310,6 +342,68 @@ def _als_step(obj: Objective, params: _Point, site: int, freg_old: float):
             shape = params.tensors[site - 1].shape
             return _with_site(params, site, a_new.reshape(shape)), ridged, freg_new
     return params, ridged, freg_old
+
+
+def _sweep(obj: Objective, params: _Point, freg: float):
+    """Steps at sites 1..N of a chain or ring that is not translation
+    invariant; returns (params, ridge_seen, f_reg).
+
+    The environments are built once per sweep and grown one site per step
+    (Schollwoeck 2011, sec. 6.3).  The right blocks R_k = A_{k+1}...A_N, of
+    shape (m_k, d_{k+1}...d_N, m_0), come right to left from the sweep's
+    start; the left block L_k = A_1...A_{k-1}, of shape (m_0, d_1...d_{k-1},
+    m_{k-1}), grows by each accepted tensor.  So a step's site matrix is
+    that of the three-node ring [L_k, A_k, R_k], not of N - 1 sites; a
+    chain's boundary bonds have dimension 1.  The regularizer's environment
+    is cached the same way: the tensor_norm terms, or the transfer products
+    E_{k+1}...E_N and E_1...E_{k-1}.
+    """
+    arrs = params.tensors
+    n, m0 = len(arrs), arrs[0].shape[1]
+    cap = capacity_cap()
+    norms, transfer = obj.reg_kind == "tensor_norm", obj.reg_kind == "transfer_product"
+    rights = [np.eye(m0, dtype=np.complex128).reshape(m0, 1, m0)]
+    trights = [np.eye(m0 * m0, dtype=np.complex128)]
+    for a in arrs[:0:-1]:
+        d, ml, mr = a.shape
+        right = rights[-1]
+        check_capacity(ml * d * right.shape[1] * m0, cap, "right environment")
+        block = a.transpose(1, 0, 2).reshape(ml * d, mr) @ right.reshape(mr, -1)
+        rights.append(block.reshape(ml, -1, m0))
+        if transfer:
+            check_capacity(ml * ml * m0 * m0, cap, "right transfer environment")
+            trights.append(transfer_array(a) @ trights[-1])
+    rights.reverse()
+    trights.reverse()
+    if norms:
+        lams = _site_lambdas(obj, n)
+        terms = [l * np.linalg.norm(a) ** 2 for l, a in zip(lams, arrs)]
+    left, tleft = rights[-1], trights[-1]  # the identities on bond 0
+    ridge_seen = False
+    for site in range(1, n + 1):
+        a, right = params.tensors[site - 1], rights[site - 1]
+        ring = [left.transpose(1, 0, 2), a, right.transpose(1, 0, 2)]
+        mat = site_environment(*chain_network(ring), 1)
+        env = None
+        if norms:
+            env = sum(x for k, x in enumerate(terms) if k != site - 1)
+        elif transfer:
+            env = (tleft, trights[site - 1])
+        params, ridged, freg = _als_step(obj, params, site, freg, mat, env)
+        ridge_seen = ridge_seen or ridged
+        if site == n:
+            break
+        a = params.tensors[site - 1]
+        d, ml, mr = a.shape
+        check_capacity(left.shape[1] * m0 * d * mr, cap, "left environment")
+        block = left.reshape(-1, ml) @ a.transpose(1, 0, 2).reshape(ml, d * mr)
+        left = block.reshape(m0, -1, mr)
+        if transfer:
+            check_capacity(m0 * m0 * mr * mr, cap, "left transfer environment")
+            tleft = tleft @ transfer_array(a)
+        elif norms:
+            terms[site - 1] = lams[site - 1] * np.linalg.norm(a) ** 2
+    return params, ridge_seen, freg
 
 
 def als_sweep(obj: Objective, params, site: int):
@@ -334,7 +428,7 @@ def _metrics(obj: Objective, params, iteration: int, flag: str) -> TraceRecord:
         overlap=overlap,
         max_abs_entry=float(max(np.abs(a).max() for a in arrs)),
         frobenius_norms=tuple(float(np.linalg.norm(a)) for a in arrs),
-        transfer_product_norm=float(np.linalg.norm(_transfer_product(arrs))),
+        transfer_product_norm=_norm(_transfer_product(arrs)),
         flag=flag,
     )
 
@@ -360,16 +454,15 @@ def run_experiment(
         trace.termination = "divergence_flag"
         trace.records[-1] = _metrics(obj, params, 0, trace.termination)
         return trace
-    nsites = len(params.tensors)
     ti = params.translation_invariant
     freg0 = rec.f_reg
     prev = rec.f_reg
     for it in range(1, budget + 1):
-        ridge_seen = False
-        freg = rec.f_reg  # a full evaluation, so trial values cannot drift across sweeps
-        for site in (1,) if ti else range(1, nsites + 1):
-            params, ridged, freg = _als_step(obj, params, site, freg)
-            ridge_seen = ridge_seen or ridged
+        # seeded from a full evaluation, so trial values cannot drift across sweeps
+        if ti:
+            params, ridge_seen, _ = _als_step(obj, params, 1, rec.f_reg)
+        else:
+            params, ridge_seen, _ = _sweep(obj, params, rec.f_reg)
         flag = "ridge" if ridge_seen else ""
         rec = _metrics(obj, params, it, flag)
         trace.records.append(rec)
@@ -435,15 +528,15 @@ def site_gradient(obj: Objective, params, site: int) -> DenseTensor:
         lam = _site_lambdas(obj, len(arrs))[site - 1]
         g = g + lam * a
     elif obj.reg_kind == "transfer_product":
-        g = g + float(obj.reg_weight) * _transfer_grad(arrs, site).ravel()
+        envs = _transfer_envs(arrs, site)
+        g = g + float(obj.reg_weight) * _transfer_grad(arrs[site - 1], *envs).ravel()
     return DenseTensor(g.reshape(shape))
 
 
-def _transfer_grad(arrs: list[np.ndarray], site: int) -> np.ndarray:
-    """Wirtinger gradient of ||E_1...E_N||_F^2 in the site tensor conjugate."""
-    a = arrs[site - 1]
+def _transfer_grad(a: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Wirtinger gradient of ||E_1...E_N||_F^2 in the conjugate of the site
+    tensor `a`, from its transfer environments (L, R)."""
     _, ml, mr = a.shape
-    left, right = _transfer_envs(arrs, site)
     prod = left @ transfer_array(a) @ right
     m1 = (right @ prod.conj().T @ left).reshape(mr, mr, ml, ml)
     m2 = (right.conj() @ prod.T @ left.conj()).reshape(mr, mr, ml, ml)

@@ -29,6 +29,8 @@ def tensor_to_obj(tensor) -> dict:
 
 
 def tensor_from_obj(obj: dict) -> np.ndarray:
+    if not isinstance(obj, dict):
+        raise ValueError("a tensor must be a JSON object with shape and data")
     shape = tuple(int(s) for s in obj["shape"])
     data = obj["data"]
     if not isinstance(data, list) or min(shape, default=0) < 0 or len(data) != math.prod(shape):
@@ -86,6 +88,8 @@ def state_to_obj(state) -> dict:
 
 
 def state_from_obj(obj: dict):
+    if not isinstance(obj, dict):
+        raise ValueError("a state must be a JSON object with a kind")
     kind = obj.get("kind")
     if kind == "dense_state":
         return DenseTensor(tensor_from_obj(obj["tensor"]))

@@ -208,29 +208,36 @@ def _plan(labels: tuple, shapes: tuple, open_labels: tuple):
     return tuple(steps), perm, math.prod(ext[lb] for lb in open_labels), peak
 
 
-# Tags the column copy of a vertex's open leg in `site_environment`.
-_COLUMN = object()
-
-
 def site_environment(arrays, labels, open_labels, vertex: int) -> np.ndarray:
     """Matrix M with M @ vec(arrays[vertex]) = vec(contract_network(...)).
 
-    The vertex is replaced by a delta that passes each of its open legs
-    through to a column leg, and the network is contracted with the vertex's
-    bonds left open.  Rows follow `open_labels`, columns the vertex's axes.
+    The other vertices are contracted with the vertex's bonds left open, and
+    that environment is written into M on the diagonal of each of the
+    vertex's open legs, where M pairs the leg's row with its column.  Rows
+    follow `open_labels`, columns the vertex's axes.
     """
     labs = tuple(labels[vertex])
-    own = [lb for lb in labs if lb in open_labels]
-    dims = [arrays[vertex].shape[labs.index(lb)] for lb in own]
-    delta = np.eye(math.prod(dims)).reshape(dims + dims)
+    open_labels = tuple(open_labels)
+    outer = [lb for lb in open_labels if lb not in labs]
+    bonds = [lb for lb in labs if lb not in open_labels]
     rest = [k for k in range(len(arrays)) if k != vertex]
-    mat = contract_network(
-        [arrays[k] for k in rest] + [delta],
-        [labels[k] for k in rest] + [own + [(_COLUMN, lb) for lb in own]],
-        list(open_labels) + [(_COLUMN, lb) if lb in own else lb for lb in labs],
-        cap=None,
-    )
-    return mat.reshape(-1, arrays[vertex].size)
+    if rest:
+        env = contract_network(
+            [arrays[k] for k in rest], [labels[k] for k in rest], outer + bonds, cap=None
+        )
+    else:  # a lone vertex has no bonds, and M is the identity
+        env = np.ones(())
+    ext = dict(zip(labs, arrays[vertex].shape))
+    ext.update(zip(outer, env.shape))
+    rows = math.prod(ext[lb] for lb in open_labels)
+    check_capacity(rows * arrays[vertex].size, what="site matrix")
+    mat = np.zeros([ext[lb] for lb in open_labels + labs], dtype=env.dtype)
+    # einsum returns the diagonal over repeated axis ids as a writable view
+    axis = {lb: i for i, lb in enumerate(open_labels + tuple(bonds))}
+    diag = np.einsum(mat, [axis[lb] for lb in open_labels + labs], list(range(len(axis))))
+    own = tuple(i for i, lb in enumerate(open_labels) if lb in labs)
+    diag[...] = np.expand_dims(env, own)
+    return mat.reshape(rows, -1)
 
 
 def svd(m, tol: float = DEFAULT_TOL) -> SvdResult:

@@ -107,6 +107,13 @@ def test_certify_malformed_tensor_data_exits_two(tmp_path, capsys, data):
     assert "[re, im] number pairs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("obj", [{"kind": "dense_state", "tensor": 5}, [1, 2]])
+def test_certify_non_object_json_exits_two(tmp_path, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["certify", "--input", str(path), "--checks", "wellformed"]) == 2
+
+
 def test_certify_unknown_check_is_a_validation_error(tmp_path):
     out = tmp_path / "w.json"
     main(["construct", "--family", "w", "--n", "3", "--out", str(out)])

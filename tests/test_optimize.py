@@ -402,3 +402,78 @@ def test_a_sweep_contracts_the_full_state_once(monkeypatch):
     trace = run_experiment(obj, _random_pbc(rng, 6, 2, 2), budget=3)
     assert len(trials) >= 6 * (len(trace.records) - 1)
     assert len(contractions) == len(trace.records)
+
+
+def test_huge_ring_records_a_finite_transfer_product_norm():
+    # a state norm near 1e130 puts the transfer product near 1e260, whose
+    # squared entries overflow; the record's norm must not
+    rng = np.random.default_rng(63)
+    arrs = [1e33 * (rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))) for _ in range(4)]
+    obj = distance_objective(random_state(rng, (2,) * 4), "tensor_norm", 1e-3)
+    c = 3.0 - 4.0j
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rec = run_experiment(obj, MpsPbc(arrs), 2).records[0]
+        scaled = run_experiment(obj, MpsPbc([c * a for a in arrs]), 2).records[0]
+    assert all(math.isfinite(x) for x in (rec.f, rec.f_reg, rec.transfer_product_norm))
+    want = abs(c) ** 8 * rec.transfer_product_norm
+    assert abs(scaled.transfer_product_norm - want) <= 1e-12 * want
+
+
+_CACHE_CASES = [
+    ("obc", 4, (2, 3, 2)),
+    ("obc", 1, ()),
+    ("obc", 2, (2,)),
+    ("obc", 5, (2, 2, 2, 2)),
+    ("pbc", 1, None),
+    ("pbc", 2, None),
+    ("pbc", 5, None),
+]
+
+
+@pytest.mark.parametrize("reg", ["tensor_norm", "transfer_product"])
+@pytest.mark.parametrize("shape,n,bonds", _CACHE_CASES)
+def test_sweep_caches_match_the_whole_network(monkeypatch, shape, n, bonds, reg):
+    # every step of a sweep gets, from the sweep's caches, the site matrix and
+    # the regularizer environment that the whole network gives at that point
+    rng = np.random.default_rng(64)
+    obj = distance_objective(random_state(rng, (2,) * n), reg, 1e-2)
+    params = _random_obc(rng, (2,) * n, bonds) if shape == "obc" else _random_pbc(rng, n, 2, 2)
+    step = optimize._als_step
+    sites = []
+
+    def spy(obj, point, site, freg, mat, env):
+        want = site_environment(*point.tensor_network(), site - 1)
+        assert np.linalg.norm(mat - want) <= 1e-12 * np.linalg.norm(want)
+        if reg == "tensor_norm":
+            rest = optimize._reg_env(obj, point.tensors, site)
+            assert abs(env - rest) <= 1e-12 * abs(rest)
+        else:
+            for got, full in zip(env, optimize._transfer_envs(point.tensors, site)):
+                assert np.linalg.norm(got - full) <= 1e-12 * np.linalg.norm(full)
+        sites.append(site)
+        return step(obj, point, site, freg, mat, env)
+
+    monkeypatch.setattr(optimize, "_als_step", spy)
+    trace = run_experiment(obj, params, budget=3)
+    assert sites == list(range(1, n + 1)) * (len(trace.records) - 1)
+
+
+def test_sweep_site_matrices_contract_three_nodes(monkeypatch):
+    rng = np.random.default_rng(65)
+    site_environment = optimize.site_environment
+    nodes = []
+
+    def counted(arrays, *args):
+        nodes.append(len(arrays))
+        return site_environment(arrays, *args)
+
+    monkeypatch.setattr(optimize, "site_environment", counted)
+    for params, reg in (
+        (_random_obc(rng, (2,) * 7, (2, 3, 3, 3, 3, 2)), "tensor_norm"),
+        (_random_pbc(rng, 7, 2, 2), "transfer_product"),
+    ):
+        obj = distance_objective(random_state(rng, (2,) * 7), reg, 1e-3)
+        trace = run_experiment(obj, params, budget=2)
+        assert len(trace.records) > 1
+    assert nodes and max(nodes) == 3

@@ -139,6 +139,16 @@ def test_malformed_tensor_data_is_a_value_error(data):
         tensor_from_obj({"shape": [2], "data": data})
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [[1, 2], "dense_state", None, {"kind": "dense_state", "tensor": 5},
+     {"kind": "mps_obc", "tensors": [[1, 2]]}],
+)
+def test_non_object_json_is_a_value_error(obj):
+    with pytest.raises(ValueError):
+        state_from_obj(obj)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         state_from_obj({"kind": "matrix_product_operator"})
