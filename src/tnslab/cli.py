@@ -16,6 +16,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 
 import numpy as np
@@ -31,7 +32,7 @@ from .mps_pbc import (
     ti_mps,
     wielandt_bound,
 )
-from .optimize import distance_objective, energy_objective, run_experiment
+from .optimize import TraceRecord, distance_objective, energy_objective, run_experiment
 from .serialize import load_state, save_state
 from .tensors import DenseTensor, as_array, contract_network
 from .zoo import (
@@ -299,9 +300,7 @@ def _random_params(ns, rng):
         return MpsObc(tensors)
     shape = (d, m, m)
     if ns.set == "ti":
-        a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(
-            d * m
-        )
+        a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(d * m)
         return MpsPbc([a] * n, translation_invariant=True)
     tensors = [
         (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(d * m)
@@ -358,30 +357,11 @@ def _cmd_optimize(ns) -> int:
     budget = ns.budget or 100
     threshold = ns.divergence_threshold if ns.divergence_threshold is not None else 1e6
     trace = run_experiment(obj, init, budget, threshold)
+    header = [f.name for f in fields(TraceRecord)]  # one column per record field
     rows = []
     for rec in trace.records:
-        rows.append(
-            (
-                rec.iteration,
-                rec.f,
-                rec.f_reg,
-                rec.overlap,
-                rec.max_abs_entry,
-                json.dumps(list(rec.frobenius_norms), separators=(",", ":")),
-                rec.transfer_product_norm,
-                rec.flag,
-            )
-        )
-    header = [
-        "iteration",
-        "f",
-        "f_reg",
-        "overlap",
-        "max_abs_entry",
-        "frobenius_norms",
-        "transfer_product_norm",
-        "flag",
-    ]
+        norms = json.dumps(list(rec.frobenius_norms), separators=(",", ":"))
+        rows.append([norms if k == "frobenius_norms" else getattr(rec, k) for k in header])
     _write_csv(ns.out, header, rows)
     print(trace.termination)
     return 0

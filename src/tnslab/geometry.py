@@ -16,7 +16,7 @@ from .tensors import (
     as_array,
     check_capacity,
     matrix_rank,
-    site_environment,
+    site_matrix,
 )
 from .zoo import psi_tau_tensors, two_domain_state
 
@@ -87,7 +87,7 @@ def stabilizer_lie_dim(psi, site_dims, tol: float = DEFAULT_TOL) -> int:
     for j, d in enumerate(dims):
         # X_j -> (X_j on site j)|psi> is the environment of an operator on leg j
         legs = [[n if k == j else k for k in range(n)], (j, n)]
-        cols[:, c : c + d * d] = site_environment([arr, np.eye(d)], legs, range(n), 1)
+        cols[:, c : c + d * d] = site_matrix([arr, np.eye(d)], legs, range(n), 1)
         c += d * d
     nullity = params - matrix_rank(cols, tol)
     return nullity - (n - 1)
@@ -97,7 +97,7 @@ def jacobian_rank(tensors, tol: float = DEFAULT_TOL) -> int:
     """Complex rank of the differential of (A_1..A_N) -> ring state.
 
     The state is linear in each tensor, so the partial derivatives in site j's
-    entries are the columns of its site environment; the rank of those
+    entries are the columns of its site matrix; the rank of those
     matrices stacked side by side (d^N x params) is the local dimension of
     the parametrized set at this point.
     """
@@ -115,7 +115,7 @@ def jacobian_rank(tensors, tol: float = DEFAULT_TOL) -> int:
         )
     check_capacity(d ** n * params, what="jacobian")
     network = MpsPbc(arrs).tensor_network()
-    cols = np.hstack([site_environment(*network, j) for j in range(n)])
+    cols = np.hstack([site_matrix(*network, j) for j in range(n)])
     return matrix_rank(cols, tol)
 
 

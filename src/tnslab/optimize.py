@@ -10,7 +10,7 @@ rather than a hope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +28,10 @@ from .tensors import (
     site_environment,
 )
 
-RIDGE = 1e-12
+# A step's Gram matrix E^dag E is formed in working precision, so its
+# eigenvalues carry an absolute error near 1e-16 times the largest; those at
+# or below GRAM_TOL times the largest count as zero, four decades above that.
+GRAM_TOL = 1e-12
 SWEEP_TOL = 1e-10
 DEFAULT_DIVERGENCE = 1e6
 _BACKTRACK_STEPS = 21  # t = 1, 1/2, ..., 2^-20
@@ -70,12 +73,8 @@ class Objective:
                 raise ValueError("hamiltonian must be Hermitian within 1e-10")
         if self.reg_kind not in ("none", "tensor_norm", "transfer_product"):
             raise ValueError(f"unknown regularization {self.reg_kind!r}")
-        weights = (
-            self.reg_weight
-            if isinstance(self.reg_weight, (tuple, list))
-            else (self.reg_weight,)
-        )
-        if any(w < 0 for w in weights):
+        w = self.reg_weight
+        if any(x < 0 for x in (w if isinstance(w, (tuple, list)) else (w,))):
             raise ValueError("regularization weights must be nonnegative")
 
 
@@ -85,16 +84,17 @@ def distance_objective(target, reg_kind: str = "none", reg_weight=0.0) -> Object
 
 
 def energy_objective(hamiltonian, reg_kind: str = "none", reg_weight=0.0) -> Objective:
-    h = (
-        hamiltonian
-        if isinstance(hamiltonian, DenseTensor)
-        else DenseTensor(hamiltonian)
-    )
+    h = hamiltonian if isinstance(hamiltonian, DenseTensor) else DenseTensor(hamiltonian)
     return Objective("energy", hamiltonian=h, reg_kind=reg_kind, reg_weight=reg_weight)
 
 
 @dataclass(frozen=True)
 class TraceRecord:
+    """One full evaluation.  `flag` is "ridge" when a step of the sweep
+    dropped a direction of its local problem, an eigenvalue of E^dag E at
+    or below GRAM_TOL times the largest (the name is kept from the ridge the
+    rank-revealing solve replaced); the last record adds the termination."""
+
     iteration: int
     f: float
     f_reg: float
@@ -177,9 +177,7 @@ def _reg_term(obj: Objective, params) -> float:
     arrs = _tensor_arrays(params)
     if obj.reg_kind == "tensor_norm":
         lams = _site_lambdas(obj, len(arrs))
-        return float(
-            sum(l * np.linalg.norm(a) ** 2 for l, a in zip(lams, arrs))
-        )
+        return float(sum(l * np.linalg.norm(a) ** 2 for l, a in zip(lams, arrs)))
     nrm = _norm(_transfer_product(arrs))
     return float(obj.reg_weight) * nrm * nrm
 
@@ -189,11 +187,8 @@ def _reg_env(obj: Objective, arrs: list[np.ndarray], site: int):
     tensor_norm terms summed, or the transfer environments (L, R)."""
     if obj.reg_kind == "tensor_norm":
         lams = _site_lambdas(obj, len(arrs))
-        return sum(
-            l * np.linalg.norm(x) ** 2
-            for k, (l, x) in enumerate(zip(lams, arrs))
-            if k != site - 1
-        )
+        terms = enumerate(zip(lams, arrs))
+        return sum(l * np.linalg.norm(x) ** 2 for k, (l, x) in terms if k != site - 1)
     if obj.reg_kind == "transfer_product":
         return _transfer_envs(arrs, site)
     return None
@@ -225,11 +220,10 @@ def _state_vector(params) -> np.ndarray:
         return contract_network(*params.tensor_network()).ravel()
 
 
-def _state_value(obj: Objective, vec: np.ndarray) -> tuple[float, float]:
-    """(f, overlap) of a state vector; the overlap is nan for energies.
-
-    Raises on a zero or non-finite state.
-    """
+def _state_value(obj: Objective, vec: np.ndarray, target=None) -> tuple[float, float]:
+    """(f, overlap) of a state, the overlap nan for energies; a distance
+    compares `vec` with `target`, by default the objective's.  Raises on a
+    zero or non-finite state."""
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
         norm = float(np.linalg.norm(vec))
     if not math.isfinite(norm):
@@ -237,7 +231,7 @@ def _state_value(obj: Objective, vec: np.ndarray) -> tuple[float, float]:
     if norm == 0.0:
         raise NormalizationError("parametrized state has zero norm")
     if obj.kind == "distance":
-        tvec = np.asarray(as_array(obj.target)).ravel()
+        tvec = np.asarray(as_array(obj.target)).ravel() if target is None else target
         if tvec.size != vec.size:
             raise ValueError("target and state dimensions differ")
         overlap = float(abs(np.vdot(tvec, vec)) / norm)
@@ -254,59 +248,98 @@ def objective_value(obj: Objective, params) -> tuple[float, float]:
     return f, f + _reg_term(obj, params)
 
 
-def _solve_normal(neff: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Solve the normal equations, falling back to a ridge on singularity."""
-    try:
-        sol = np.linalg.solve(neff, rhs)
-        if np.all(np.isfinite(sol)):
-            return sol, False
-    except np.linalg.LinAlgError:
-        pass
-    scale = max(1.0, float(np.abs(np.diag(neff)).max()))
-    sol = np.linalg.solve(neff + RIDGE * scale * np.eye(neff.shape[0]), rhs)
-    return sol, True
+class _Local(NamedTuple):
+    """A site's effective problem (Schollwoeck 2011, sec. 6): the environment
+    E of shape (D_L*D_R, m_l*m_r), D_L and D_R the dimensions of the legs
+    before and after the site, and a distance's target in E's layout.  A
+    flattened site array `a` gives the state E @ a.reshape(d, -1).T."""
+
+    env: np.ndarray
+    dl: int
+    dr: int
+    target: np.ndarray | None = None
+
+    def ordered(self, phi: np.ndarray) -> np.ndarray:
+        """A state in E's layout as a vector in state order; from_state inverts it."""
+        return phi.reshape(self.dl, self.dr, -1).transpose(0, 2, 1).ravel()
+
+    def from_state(self, vec: np.ndarray) -> np.ndarray:
+        return vec.reshape(self.dl, -1, self.dr).transpose(0, 2, 1).reshape(self.dl * self.dr, -1)
+
+    def f(self, obj: Objective, a: np.ndarray) -> float:
+        phi = self.env @ a.reshape(-1, self.env.shape[1]).T
+        if obj.kind == "distance":
+            return _state_value(obj, phi, self.target)[0]
+        return _state_value(obj, self.ordered(phi))[0]
 
 
-def _candidate(obj: Objective, mat: np.ndarray, a_old: np.ndarray):
-    """Unconstrained minimizer of the local surrogate problem."""
-    mat_h = mat.conj().T
-    neff = mat_h @ mat
+def _local(obj: Objective, env: np.ndarray, dl: int, dr: int) -> _Local:
+    loc = _Local(env, dl, dr)
+    if obj.kind == "distance":  # permuted once per step
+        return loc._replace(target=loc.from_state(np.asarray(as_array(obj.target)).ravel()))
+    return loc
+
+
+def _network_local(obj: Objective, arrs: list[np.ndarray], site: int) -> _Local:
+    """The local problem at `site` from the whole chain, for steps without
+    sweep caches: E's axes are the legs before and after the site, its bonds."""
+    env, _ = site_environment(*chain_network(arrs), site - 1)
+    dims = [a.shape[0] for a in arrs]
+    dl, dr = math.prod(dims[: site - 1]), math.prod(dims[site:])
+    return _local(obj, env.reshape(dl * dr, -1), dl, dr)
+
+
+def _kept_basis(env: np.ndarray) -> tuple[np.ndarray, bool]:
+    """(W, dropped): W = V_k lam_k^(-1/2) over the eigenpairs of E^dag E above
+    GRAM_TOL times the largest, so E W has orthonormal columns."""
+    lam, vec = np.linalg.eigh(env.conj().T @ env)
+    keep = lam > GRAM_TOL * lam[-1]
+    return vec[:, keep] / np.sqrt(lam[keep]), not keep.all()
+
+
+def _candidate(obj: Objective, loc: _Local, a_old: np.ndarray):
+    """Minimizer of the local surrogate problem on the kept subspace of
+    E^dag E; returns (flattened candidate or None, direction dropped).  A
+    distance takes the minimum-norm least-squares solution W W^dag E^dag T;
+    an energy is a standard eigenproblem on the orthonormal basis I_d (x) E W,
+    with H applied to one physical index's d^N x p basis vectors at a time."""
+    env = loc.env
+    w, dropped = _kept_basis(env)
     if obj.kind == "distance":
-        tvec = np.asarray(as_array(obj.target)).ravel()
-        b = mat_h @ tvec
-        if not np.any(b):
-            return None, False
-        return _solve_normal(neff, b)
-    h = np.asarray(as_array(obj.hamiltonian))
-    heff = mat_h @ (h @ mat)
-    heff = (heff + heff.conj().T) / 2.0
-    scale = max(1.0, float(np.abs(np.diag(neff)).max()))
-    ridged = False
-    try:
-        w, v = scipy.linalg.eigh(heff, neff)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-        ridged = True
-        w, v = scipy.linalg.eigh(heff, neff + RIDGE * scale * np.eye(neff.shape[0]))
-    vec = v[:, 0]
+        rhs = w.conj().T @ (env.conj().T @ loc.target)
+        return ((w @ rhs).T.ravel() if np.any(rhs) else None), dropped
+    d, p = a_old.size // env.shape[1], w.shape[1]
+    if p == 0:
+        return None, dropped
+    q = (env @ w).reshape(loc.dl, loc.dr, p)
+    rows = np.asarray(as_array(obj.hamiltonian)).reshape(loc.dl, d, loc.dr, -1)
+    heff = np.zeros((d, p, d, p), dtype=np.complex128)
+    col = np.zeros((loc.dl, d, loc.dr, p), dtype=np.complex128)
+    for s in range(d):  # the basis vectors with physical index s, in state order
+        col[:, s] = q
+        for t in range(s + 1):  # H is Hermitian: eigh reads the blocks t <= s
+            block = rows[:, t] @ col.reshape(-1, p)  # H's rows with index t only
+            heff[t, :, s] = np.tensordot(q.conj(), block, ([0, 1], [0, 1]))
+        col[:, s] = 0.0
+    _, v = np.linalg.eigh(heff.reshape(d * p, d * p), UPLO="U")
+    vec = (v[:, 0].reshape(d, p) @ w.T).ravel()
     nrm = float(np.linalg.norm(vec))
     if nrm == 0.0 or not np.all(np.isfinite(vec)):
-        return None, ridged
+        return None, dropped
     # keep the iterate near the current scale and phase
     vec = vec / nrm
     ref = complex(np.vdot(vec, a_old))
     if abs(ref) > 0:
         vec = vec * (ref / abs(ref))
-    return vec * float(np.linalg.norm(a_old)), ridged
+    return vec * float(np.linalg.norm(a_old)), dropped
 
 
-def _line_objective(obj: Objective, params: _Point, site: int, mat: np.ndarray, env=None):
-    """f_reg as a function of the flattened array at one site.
-
-    Unless the set is translation invariant the state is linear in that
-    array, so a trial costs a product with the site matrix plus the
-    regularizer with the other sites fixed (`env`, see `_site_reg`).  A
-    shared tensor enters every site, so its trials are contracted in full.
-    """
+def _line_objective(obj: Objective, params: _Point, site: int, loc: _Local, env=None):
+    """f_reg as a function of the flattened array at one site.  Unless the
+    set is translation invariant the state is linear in that array, so a
+    trial costs a product with the environment E plus the regularizer with
+    the other sites fixed (`env`, see `_site_reg`).  A shared tensor enters
+    every site, so its trials are contracted in full."""
     shape = params.tensors[site - 1].shape
     if params.translation_invariant:
         return lambda a: objective_value(obj, _with_site(params, site, a.reshape(shape)))[1]
@@ -314,23 +347,23 @@ def _line_objective(obj: Objective, params: _Point, site: int, mat: np.ndarray, 
 
     def value(a: np.ndarray) -> float:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected
-            return _state_value(obj, mat @ a)[0] + reg(a)
+            return loc.f(obj, a) + reg(a)
 
     return value
 
 
-def _als_step(obj: Objective, params: _Point, site: int, freg_old: float, mat=None, env=None):
+def _als_step(obj: Objective, params: _Point, site: int, freg_old: float, loc=None, env=None):
     """One guarded local update from the current f_reg; returns
-    (new params, ridge_used, new f_reg).  A sweep passes the site matrix and
-    the regularizer's environment from its caches; without them both are
-    built from the whole network."""
+    (new params, direction dropped, new f_reg).  A sweep passes the local
+    problem and the regularizer's environment from its caches; without them
+    both are built from the whole network."""
     a_old = params.tensors[site - 1].ravel()
-    if mat is None:
-        mat = site_environment(*params.tensor_network(), site - 1)
-    cand, ridged = _candidate(obj, mat, a_old)
+    if loc is None:
+        loc = _network_local(obj, params.tensors, site)
+    cand, dropped = _candidate(obj, loc, a_old)
     if cand is None:
-        return params, ridged, freg_old
-    value = _line_objective(obj, params, site, mat, env)
+        return params, dropped, freg_old
+    value = _line_objective(obj, params, site, loc, env)
     for k in range(_BACKTRACK_STEPS):
         t = 0.5 ** k
         a_new = (1.0 - t) * a_old + t * cand
@@ -340,21 +373,21 @@ def _als_step(obj: Objective, params: _Point, site: int, freg_old: float, mat=No
             continue
         if freg_new <= freg_old:
             shape = params.tensors[site - 1].shape
-            return _with_site(params, site, a_new.reshape(shape)), ridged, freg_new
-    return params, ridged, freg_old
+            return _with_site(params, site, a_new.reshape(shape)), dropped, freg_new
+    return params, dropped, freg_old
 
 
 def _sweep(obj: Objective, params: _Point, freg: float):
     """Steps at sites 1..N of a chain or ring that is not translation
-    invariant; returns (params, ridge_seen, f_reg).
+    invariant; returns (params, direction dropped, f_reg).
 
     The environments are built once per sweep and grown one site per step
     (Schollwoeck 2011, sec. 6.3).  The right blocks R_k = A_{k+1}...A_N, of
     shape (m_k, d_{k+1}...d_N, m_0), come right to left from the sweep's
     start; the left block L_k = A_1...A_{k-1}, of shape (m_0, d_1...d_{k-1},
-    m_{k-1}), grows by each accepted tensor.  So a step's site matrix is
-    that of the three-node ring [L_k, A_k, R_k], not of N - 1 sites; a
-    chain's boundary bonds have dimension 1.  The regularizer's environment
+    m_{k-1}), grows by each accepted tensor.  So a step's environment E is
+    one product of L_k and R_k over m_0, not a contraction of N - 1 sites;
+    a chain's boundary bonds have dimension 1.  The regularizer's environment
     is cached the same way: the tensor_norm terms, or the transfer products
     E_{k+1}...E_N and E_1...E_{k-1}.
     """
@@ -379,18 +412,20 @@ def _sweep(obj: Objective, params: _Point, freg: float):
         lams = _site_lambdas(obj, n)
         terms = [l * np.linalg.norm(a) ** 2 for l, a in zip(lams, arrs)]
     left, tleft = rights[-1], trights[-1]  # the identities on bond 0
-    ridge_seen = False
+    dropped_seen = False
     for site in range(1, n + 1):
-        a, right = params.tensors[site - 1], rights[site - 1]
-        ring = [left.transpose(1, 0, 2), a, right.transpose(1, 0, 2)]
-        mat = site_environment(*chain_network(ring), 1)
+        right = rights[site - 1]
+        (_, dl, ml), (mr, dr, _) = left.shape, right.shape
+        check_capacity(dl * dr * ml * mr, cap, "site environment")
+        pair = np.tensordot(left, right, (0, 2)).transpose(0, 3, 1, 2)
+        loc = _local(obj, pair.reshape(dl * dr, ml * mr), dl, dr)
         env = None
         if norms:
             env = sum(x for k, x in enumerate(terms) if k != site - 1)
         elif transfer:
             env = (tleft, trights[site - 1])
-        params, ridged, freg = _als_step(obj, params, site, freg, mat, env)
-        ridge_seen = ridge_seen or ridged
+        params, dropped, freg = _als_step(obj, params, site, freg, loc, env)
+        dropped_seen = dropped_seen or dropped
         if site == n:
             break
         a = params.tensors[site - 1]
@@ -403,7 +438,7 @@ def _sweep(obj: Objective, params: _Point, freg: float):
             tleft = tleft @ transfer_array(a)
         elif norms:
             terms[site - 1] = lams[site - 1] * np.linalg.norm(a) ** 2
-    return params, ridge_seen, freg
+    return params, dropped_seen, freg
 
 
 def als_sweep(obj: Objective, params, site: int):
@@ -434,10 +469,7 @@ def _metrics(obj: Objective, params, iteration: int, flag: str) -> TraceRecord:
 
 
 def run_experiment(
-    obj: Objective,
-    init,
-    budget: int,
-    divergence_threshold: float = DEFAULT_DIVERGENCE,
+    obj: Objective, init, budget: int, divergence_threshold: float = DEFAULT_DIVERGENCE
 ) -> RunTrace:
     """Sweep until f_reg stalls, the budget runs out, or entries diverge.
 
@@ -451,27 +483,23 @@ def run_experiment(
     rec = _metrics(obj, params, 0, "")
     trace.records.append(rec)
     if rec.max_abs_entry > divergence_threshold:
-        trace.termination = "divergence_flag"
-        trace.records[-1] = _metrics(obj, params, 0, trace.termination)
-        return trace
+        trace.termination, budget = "divergence_flag", 0
     ti = params.translation_invariant
     freg0 = rec.f_reg
     prev = rec.f_reg
     for it in range(1, budget + 1):
         # seeded from a full evaluation, so trial values cannot drift across sweeps
         if ti:
-            params, ridge_seen, _ = _als_step(obj, params, 1, rec.f_reg)
+            params, dropped, _ = _als_step(obj, params, 1, rec.f_reg)
         else:
-            params, ridge_seen, _ = _sweep(obj, params, rec.f_reg)
-        flag = "ridge" if ridge_seen else ""
+            params, dropped, _ = _sweep(obj, params, rec.f_reg)
+        flag = "ridge" if dropped else ""
         rec = _metrics(obj, params, it, flag)
         trace.records.append(rec)
         if rec.f_reg > freg0 + SWEEP_TOL:
             # the line search never accepts a rise, so f_reg(0) bounds every
             # sweep; with f >= f_min that bounds the regularizer by f_reg(0) - f_min
-            raise TnsError(
-                f"sublevel bound violated: f_reg rose from {freg0!r} to {rec.f_reg!r}"
-            )
+            raise TnsError(f"sublevel bound violated: f_reg rose from {freg0!r} to {rec.f_reg!r}")
         if rec.max_abs_entry > divergence_threshold:
             trace.termination = "divergence_flag"
             break
@@ -481,16 +509,7 @@ def run_experiment(
         prev = rec.f_reg
     last = trace.records[-1]
     joined = f"{last.flag};{trace.termination}" if last.flag else trace.termination
-    trace.records[-1] = TraceRecord(
-        iteration=last.iteration,
-        f=last.f,
-        f_reg=last.f_reg,
-        overlap=last.overlap,
-        max_abs_entry=last.max_abs_entry,
-        frobenius_norms=last.frobenius_norms,
-        transfer_product_norm=last.transfer_product_norm,
-        flag=joined,
-    )
+    trace.records[-1] = replace(last, flag=joined)
     return trace
 
 
@@ -504,26 +523,26 @@ def site_gradient(obj: Objective, params, site: int) -> DenseTensor:
     arrs = _tensor_arrays(params)
     shape = arrs[site - 1].shape
     a = arrs[site - 1].ravel()
-    mat = site_environment(*params.tensor_network(), site - 1)
-    vec = mat @ a
-    norm = float(np.linalg.norm(vec))
+    loc = _network_local(obj, arrs, site)
+    phi = loc.env @ a.reshape(shape[0], -1).T
+    norm = float(np.linalg.norm(phi))
     if norm == 0.0:
         raise NormalizationError("parametrized state has zero norm")
-    na = mat.conj().T @ vec
+
+    def adjoint(x: np.ndarray) -> np.ndarray:  # the site matrix's adjoint, in E's layout
+        return (loc.env.conj().T @ x).T.ravel()
+
+    na = adjoint(phi)
     if obj.kind == "distance":
-        tvec = np.asarray(as_array(obj.target)).ravel()
-        b = mat.conj().T @ tvec
-        o = complex(np.vdot(tvec, vec))
-        if abs(o) == 0.0:
-            g = np.zeros_like(a)
-        else:
-            g = -(b * (o / abs(o))) / norm
+        b = adjoint(loc.target)
+        o = complex(np.vdot(loc.target, phi))
+        g = -(b * (o / abs(o))) / norm if o else np.zeros_like(a)
         g = g + abs(o) * na / norm ** 3
     else:
-        h = np.asarray(as_array(obj.hamiltonian))
-        hv = mat.conj().T @ (h @ vec)
-        f = float(np.vdot(vec, h @ vec).real) / (norm * norm)
-        g = (hv - f * na) / (norm * norm)
+        vec = loc.ordered(phi)
+        hvec = np.asarray(as_array(obj.hamiltonian)) @ vec
+        f = float(np.vdot(vec, hvec).real) / (norm * norm)
+        g = (adjoint(loc.from_state(hvec)) - f * na) / (norm * norm)
     if obj.reg_kind == "tensor_norm":
         lam = _site_lambdas(obj, len(arrs))[site - 1]
         g = g + lam * a

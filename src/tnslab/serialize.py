@@ -28,12 +28,27 @@ def tensor_to_obj(tensor) -> dict:
     }
 
 
+def _field(obj, key: str, kind: type):
+    """obj[key], which must be a JSON array (kind list) or object (kind dict)."""
+    val = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(val, kind):
+        raise ValueError(f"field {key!r} must be {'an array' if kind is list else 'an object'}")
+    return val
+
+
+def _ints(values, key: str) -> list[int]:
+    try:
+        return [int(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"field {key!r} must hold integers") from exc
+
+
 def tensor_from_obj(obj: dict) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError("a tensor must be a JSON object with shape and data")
-    shape = tuple(int(s) for s in obj["shape"])
-    data = obj["data"]
-    if not isinstance(data, list) or min(shape, default=0) < 0 or len(data) != math.prod(shape):
+    shape = tuple(_ints(_field(obj, "shape", list), "shape"))
+    data = _field(obj, "data", list)
+    if min(shape, default=0) < 0 or len(data) != math.prod(shape):
         raise ValueError("tensor data does not match its shape")
     try:
         flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
@@ -47,10 +62,7 @@ def state_to_obj(state) -> dict:
     if isinstance(state, DenseTensor):
         return {"kind": "dense_state", "tensor": tensor_to_obj(state)}
     if isinstance(state, MpsObc):
-        return {
-            "kind": "mps_obc",
-            "tensors": [tensor_to_obj(t) for t in state.tensors],
-        }
+        return {"kind": "mps_obc", "tensors": [tensor_to_obj(t) for t in state.tensors]}
     if isinstance(state, MpsPbc):
         return {
             "kind": "mps_pbc",
@@ -68,61 +80,47 @@ def state_to_obj(state) -> dict:
             "tensors": [tensor_to_obj(t) for t in state.tensors],
         }
     if isinstance(state, Mera):
-        layers = []
-        for layer in state.layers:
-            layers.append(
-                {
-                    "disentanglers": [tensor_to_obj(u) for u in layer.disentanglers],
-                    "isometries": [tensor_to_obj(w) for w in layer.isometries],
-                }
-            )
-        return {
-            "kind": "mera",
-            "L": int(state.L),
-            "m": int(state.m),
-            "d": int(state.d),
-            "layers": layers,
-            "top": tensor_to_obj(state.top),
-        }
+        layers = [
+            {
+                "disentanglers": [tensor_to_obj(u) for u in layer.disentanglers],
+                "isometries": [tensor_to_obj(w) for w in layer.isometries],
+            }
+            for layer in state.layers
+        ]
+        sizes = {"L": int(state.L), "m": int(state.m), "d": int(state.d)}
+        return {"kind": "mera", **sizes, "layers": layers, "top": tensor_to_obj(state.top)}
     raise TypeError(f"cannot serialize {type(state).__name__}")
 
 
 def state_from_obj(obj: dict):
+    """The container a JSON object describes; ValueError when a field is
+    missing or of the wrong type."""
     if not isinstance(obj, dict):
         raise ValueError("a state must be a JSON object with a kind")
     kind = obj.get("kind")
     if kind == "dense_state":
-        return DenseTensor(tensor_from_obj(obj["tensor"]))
-    if kind == "mps_obc":
-        return MpsObc([tensor_from_obj(t) for t in obj["tensors"]])
-    if kind == "mps_pbc":
-        return MpsPbc(
-            [tensor_from_obj(t) for t in obj["tensors"]],
-            translation_invariant=bool(obj.get("translation_invariant", False)),
-        )
-    if kind in ("ttns", "peps"):
-        net_cls, cls = (TreeNetwork, Ttns) if kind == "ttns" else (PepsNetwork, Peps)
-        net = net_cls(
-            dims=[int(d) for d in obj["network"]["dims"]],
-            edges=[tuple(e) for e in obj["network"]["edges"]],
-        )
-        return cls(net, [tensor_from_obj(t) for t in obj["tensors"]])
+        return DenseTensor(tensor_from_obj(obj.get("tensor")))
+    if kind not in ("mps_obc", "mps_pbc", "ttns", "peps", "mera"):
+        raise ValueError(f"unknown state kind {kind!r}")
     if kind == "mera":
         layers = [
             (
-                [tensor_from_obj(u) for u in lay["disentanglers"]],
-                [tensor_from_obj(w) for w in lay["isometries"]],
+                [tensor_from_obj(u) for u in _field(lay, "disentanglers", list)],
+                [tensor_from_obj(w) for w in _field(lay, "isometries", list)],
             )
-            for lay in obj["layers"]
+            for lay in _field(obj, "layers", list)
         ]
-        return Mera(
-            int(obj["L"]),
-            int(obj["m"]),
-            int(obj["d"]),
-            layers,
-            tensor_from_obj(obj["top"]),
-        )
-    raise ValueError(f"unknown state kind {kind!r}")
+        sizes = _ints([obj.get(k) for k in ("L", "m", "d")], "L, m and d")
+        return Mera(*sizes, layers, tensor_from_obj(obj.get("top")))
+    tensors = [tensor_from_obj(t) for t in _field(obj, "tensors", list)]
+    if kind == "mps_obc":
+        return MpsObc(tensors)
+    if kind == "mps_pbc":
+        return MpsPbc(tensors, bool(obj.get("translation_invariant", False)))
+    net_cls, cls = (TreeNetwork, Ttns) if kind == "ttns" else (PepsNetwork, Peps)
+    net = _field(obj, "network", dict)
+    edges = [tuple(_ints(e, "edges")) for e in _field(net, "edges", list)]
+    return cls(net_cls(_ints(_field(net, "dims", list), "dims"), edges), tensors)
 
 
 def save_state(state, path) -> None:

@@ -208,32 +208,35 @@ def _plan(labels: tuple, shapes: tuple, open_labels: tuple):
     return tuple(steps), perm, math.prod(ext[lb] for lb in open_labels), peak
 
 
-def site_environment(arrays, labels, open_labels, vertex: int) -> np.ndarray:
-    """Matrix M with M @ vec(arrays[vertex]) = vec(contract_network(...)).
-
-    The other vertices are contracted with the vertex's bonds left open, and
-    that environment is written into M on the diagonal of each of the
-    vertex's open legs, where M pairs the leg's row with its column.  Rows
-    follow `open_labels`, columns the vertex's axes.
-    """
-    labs = tuple(labels[vertex])
-    open_labels = tuple(open_labels)
-    outer = [lb for lb in open_labels if lb not in labs]
-    bonds = [lb for lb in labs if lb not in open_labels]
+def site_environment(arrays, labels, open_labels, vertex: int):
+    """The network without one vertex, contracted with that vertex's bonds
+    left open: (E, (outer, bonds)), E's axes being the open legs not on the
+    vertex, in `open_labels` order, then its bonds, in its axis order."""
+    labs, open_labels = tuple(labels[vertex]), tuple(open_labels)
+    outer = tuple(lb for lb in open_labels if lb not in labs)
+    bonds = tuple(lb for lb in labs if lb not in open_labels)
     rest = [k for k in range(len(arrays)) if k != vertex]
-    if rest:
-        env = contract_network(
-            [arrays[k] for k in rest], [labels[k] for k in rest], outer + bonds, cap=None
-        )
-    else:  # a lone vertex has no bonds, and M is the identity
-        env = np.ones(())
+    if not rest:  # a lone vertex has no bonds
+        return np.ones(()), (outer, bonds)
+    env = contract_network(
+        [arrays[k] for k in rest], [labels[k] for k in rest], outer + bonds, cap=None
+    )
+    return env, (outer, bonds)
+
+
+def site_matrix(arrays, labels, open_labels, vertex: int) -> np.ndarray:
+    """M with M @ vec(arrays[vertex]) = vec(contract_network(...)): the site
+    environment on the diagonal of each of the vertex's open legs.  Rows
+    follow `open_labels`, columns the vertex's axes."""
+    env, (outer, bonds) = site_environment(arrays, labels, open_labels, vertex)
+    labs, open_labels = tuple(labels[vertex]), tuple(open_labels)
     ext = dict(zip(labs, arrays[vertex].shape))
     ext.update(zip(outer, env.shape))
     rows = math.prod(ext[lb] for lb in open_labels)
     check_capacity(rows * arrays[vertex].size, what="site matrix")
     mat = np.zeros([ext[lb] for lb in open_labels + labs], dtype=env.dtype)
     # einsum returns the diagonal over repeated axis ids as a writable view
-    axis = {lb: i for i, lb in enumerate(open_labels + tuple(bonds))}
+    axis = {lb: i for i, lb in enumerate(open_labels + bonds)}
     diag = np.einsum(mat, [axis[lb] for lb in open_labels + labs], list(range(len(axis))))
     own = tuple(i for i, lb in enumerate(open_labels) if lb in labs)
     diag[...] = np.expand_dims(env, own)

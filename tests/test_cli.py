@@ -114,6 +114,21 @@ def test_certify_non_object_json_exits_two(tmp_path, obj):
     assert main(["certify", "--input", str(path), "--checks", "wellformed"]) == 2
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"kind": "dense_state", "tensor": {"shape": 5, "data": []}},
+        {"kind": "mps_obc", "tensors": 5},
+        {"kind": "ttns", "network": [1], "tensors": []},
+    ],
+)
+def test_certify_nested_fields_of_the_wrong_type_exit_two(tmp_path, capsys, obj):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["certify", "--input", str(path), "--checks", "wellformed"]) == 2
+    assert "must be" in capsys.readouterr().err
+
+
 def test_certify_unknown_check_is_a_validation_error(tmp_path):
     out = tmp_path / "w.json"
     main(["construct", "--family", "w", "--n", "3", "--out", str(out)])

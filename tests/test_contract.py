@@ -11,7 +11,7 @@ from tnslab.errors import CapacityError
 from tnslab.mps_obc import MpsObc, eval_obc
 from tnslab.mps_pbc import MpsPbc, eval_pbc, ti_mps
 from tnslab.peps import Peps, PepsNetwork, eval_peps, mu_peps, ring_network
-from tnslab.tensors import contract_network, site_environment
+from tnslab.tensors import contract_network, site_environment, site_matrix
 from tnslab.ttns import TreeNetwork, Ttns, eval_ttns
 
 from helpers import chain_legs, einsum_state, graph_legs
@@ -109,9 +109,15 @@ def test_site_matrix_times_site_tensor_is_the_state(kind):
     arrays, labels, open_labels = mps.tensor_network()
     state = contract_network(arrays, labels, open_labels).ravel()
     for k in range(n):
-        mat = site_environment(arrays, labels, open_labels, k)
+        mat = site_matrix(arrays, labels, open_labels, k)
         assert mat.shape == (state.size, arrays[k].size)
         _assert_close(mat @ arrays[k].ravel(), state)
+        env, (outer, bonds) = site_environment(arrays, labels, open_labels, k)
+        assert outer == tuple(j for j in open_labels if j != k)
+        assert bonds == labels[k][1:] and env.ndim == len(outer) + 2
+        # E with the site's bonds contracted is the state with leg k last
+        got = np.tensordot(env, arrays[k], ([-2, -1], [1, 2]))
+        _assert_close(np.moveaxis(got, -1, k).ravel(), state)
 
 
 def test_site_matrix_goes_through_the_capacity_guard(monkeypatch):
@@ -120,7 +126,7 @@ def test_site_matrix_goes_through_the_capacity_guard(monkeypatch):
     rows = np.prod(mps.site_dims)
     monkeypatch.setenv("TNS_CAPACITY_CAP", str(rows * network[0][0].size - 1))
     with pytest.raises(CapacityError):
-        site_environment(*network, 0)
+        site_matrix(*network, 0)
 
 
 def test_oversized_peps_state_is_refused_before_allocation():

@@ -1,12 +1,13 @@
 """Sweep optimization: objectives, monotone descent, traces, gradients."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from tnslab import optimize
-from tnslab.errors import NormalizationError
+from tnslab.errors import CapacityError, NormalizationError
 from tnslab.mps_obc import MpsObc, from_state_obc, gauge_transform
 from tnslab.mps_pbc import MpsPbc, ti_mps, transfer_matrix
 from tnslab.optimize import (
@@ -18,7 +19,7 @@ from tnslab.optimize import (
     run_experiment,
     site_gradient,
 )
-from tnslab.tensors import site_environment
+from tnslab.tensors import site_matrix
 from tnslab.zoo import (
     aklt_tensor,
     blbq_hamiltonian,
@@ -344,9 +345,9 @@ def test_site_matrix_trials_match_full_evaluation(kind, shape, reg):
     point = optimize._point(params)
     for site in range(1, n + 1):
         a_old = point.tensors[site - 1].ravel()
-        mat = site_environment(*point.tensor_network(), site - 1)
-        cand, _ = optimize._candidate(obj, mat, a_old)
-        value = optimize._line_objective(obj, point, site, mat)
+        loc = optimize._network_local(obj, point.tensors, site)
+        cand, _ = optimize._candidate(obj, loc, a_old)
+        value = optimize._line_objective(obj, point, site, loc)
         for t in (1.0, 0.5, 2.0**-5, 2.0**-20):
             a = (1.0 - t) * a_old + t * cand
             trial = optimize._with_site(point, site, a.reshape(point.tensors[site - 1].shape))
@@ -434,17 +435,21 @@ _CACHE_CASES = [
 @pytest.mark.parametrize("reg", ["tensor_norm", "transfer_product"])
 @pytest.mark.parametrize("shape,n,bonds", _CACHE_CASES)
 def test_sweep_caches_match_the_whole_network(monkeypatch, shape, n, bonds, reg):
-    # every step of a sweep gets, from the sweep's caches, the site matrix and
-    # the regularizer environment that the whole network gives at that point
+    # every step of a sweep gets, from the sweep's caches, the environment E,
+    # the permuted target and the regularizer environment that the whole
+    # network gives at that point
     rng = np.random.default_rng(64)
     obj = distance_objective(random_state(rng, (2,) * n), reg, 1e-2)
     params = _random_obc(rng, (2,) * n, bonds) if shape == "obc" else _random_pbc(rng, n, 2, 2)
     step = optimize._als_step
     sites = []
 
-    def spy(obj, point, site, freg, mat, env):
-        want = site_environment(*point.tensor_network(), site - 1)
-        assert np.linalg.norm(mat - want) <= 1e-12 * np.linalg.norm(want)
+    def spy(obj, point, site, freg, loc, env):
+        want = optimize._network_local(obj, point.tensors, site)
+        assert (loc.dl, loc.dr) == (want.dl, want.dr)
+        assert loc.env.shape == want.env.shape
+        assert np.linalg.norm(loc.env - want.env) <= 1e-12 * np.linalg.norm(want.env)
+        assert np.array_equal(loc.target, want.target)
         if reg == "tensor_norm":
             rest = optimize._reg_env(obj, point.tensors, site)
             assert abs(env - rest) <= 1e-12 * abs(rest)
@@ -452,7 +457,7 @@ def test_sweep_caches_match_the_whole_network(monkeypatch, shape, n, bonds, reg)
             for got, full in zip(env, optimize._transfer_envs(point.tensors, site)):
                 assert np.linalg.norm(got - full) <= 1e-12 * np.linalg.norm(full)
         sites.append(site)
-        return step(obj, point, site, freg, mat, env)
+        return step(obj, point, site, freg, loc, env)
 
     monkeypatch.setattr(optimize, "_als_step", spy)
     trace = run_experiment(obj, params, budget=3)
@@ -460,15 +465,25 @@ def test_sweep_caches_match_the_whole_network(monkeypatch, shape, n, bonds, reg)
 
 
 def test_sweep_site_matrices_contract_three_nodes(monkeypatch):
+    # a sweep's step takes E from its two cached blocks, never from the
+    # network: no site environment is contracted, and E has the site's shape
     rng = np.random.default_rng(65)
     site_environment = optimize.site_environment
-    nodes = []
+    calls, shapes = [], []
+    step = optimize._als_step
 
-    def counted(arrays, *args):
-        nodes.append(len(arrays))
-        return site_environment(arrays, *args)
+    def counted(*args):
+        calls.append(1)
+        return site_environment(*args)
+
+    def spy(obj, point, site, freg, loc, env):
+        d, ml, mr = point.tensors[site - 1].shape
+        rows = math.prod(a.shape[0] for a in point.tensors) // d
+        shapes.append(loc.env.shape == (rows, ml * mr))
+        return step(obj, point, site, freg, loc, env)
 
     monkeypatch.setattr(optimize, "site_environment", counted)
+    monkeypatch.setattr(optimize, "_als_step", spy)
     for params, reg in (
         (_random_obc(rng, (2,) * 7, (2, 3, 3, 3, 3, 2)), "tensor_norm"),
         (_random_pbc(rng, 7, 2, 2), "transfer_product"),
@@ -476,4 +491,101 @@ def test_sweep_site_matrices_contract_three_nodes(monkeypatch):
         obj = distance_objective(random_state(rng, (2,) * 7), reg, 1e-3)
         trace = run_experiment(obj, params, budget=2)
         assert len(trace.records) > 1
-    assert nodes and max(nodes) == 3
+    assert shapes and all(shapes) and not calls
+    # the shared-tensor step has no caches and goes through the network
+    monkeypatch.setattr(optimize, "_als_step", step)
+    run_experiment(obj, _random_pbc(rng, 7, 2, 2, ti=True), budget=1)
+    assert calls
+
+
+def _rank_deficient_cases():
+    rng = np.random.default_rng(54)
+    # the two-site chain of test_singular_environment_uses_the_ridge: site 2
+    # uses one of its two left-bond values, so E at site 1 has a zero column
+    t1 = rng.standard_normal((2, 1, 2)) + 1j * rng.standard_normal((2, 1, 2))
+    t2 = np.zeros((2, 2, 1), dtype=complex)
+    t2[:, 0, 0] = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    yield MpsObc([t1, t2]), w_state(2), 1
+    # a boundary site (2, 1, 3) carries rank 2 into its bond of 3, so E at
+    # site 2 is singular up to rounding
+    rng = np.random.default_rng(66)
+    yield _random_obc(rng, (2,) * 5, (3, 3, 3, 3)), random_state(rng, (2,) * 5), 2
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_rank_deficient_candidate_is_the_minimum_norm_solution(case):
+    params, target, site = list(_rank_deficient_cases())[case]
+    obj = distance_objective(target, "tensor_norm", 1e-3)
+    point = optimize._point(params)
+    loc = optimize._network_local(obj, point.tensors, site)
+    a_old = point.tensors[site - 1].ravel()
+    cand, dropped = optimize._candidate(obj, loc, a_old)
+    mat = site_matrix(*point.tensor_network(), site - 1)
+    want = np.linalg.pinv(mat) @ np.asarray(target).ravel()
+    assert dropped
+    assert np.linalg.norm(cand - want) <= 1e-10 * np.linalg.norm(want)
+    lam, vec = np.linalg.eigh(loc.env.conj().T @ loc.env)
+    gone = vec[:, lam <= optimize.GRAM_TOL * lam[-1]]
+    assert gone.shape[1] > 0
+    inside = cand.reshape(a_old.size // loc.env.shape[1], -1) @ gone.conj()
+    assert np.linalg.norm(inside) <= 1e-12 * np.linalg.norm(cand)
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_rank_deficient_energy_candidate_is_the_lowest_state_in_range(case):
+    # the candidate's state is the ground state of H on the span of the
+    # site matrix's columns, with the dropped directions left out
+    params, target, site = list(_rank_deficient_cases())[case]
+    rng = np.random.default_rng(68)
+    dim = np.asarray(target).size
+    h = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    obj = energy_objective(h + h.conj().T)
+    point = optimize._point(params)
+    loc = optimize._network_local(obj, point.tensors, site)
+    cand, dropped = optimize._candidate(obj, loc, point.tensors[site - 1].ravel())
+    mat = site_matrix(*point.tensor_network(), site - 1)
+    u, sv, _ = np.linalg.svd(mat, full_matrices=False)
+    span = u[:, sv > 1e-6 * sv[0]]
+    want = np.linalg.eigvalsh(span.conj().T @ obj.hamiltonian.array @ span)[0]
+    got, _ = optimize._state_value(obj, mat @ cand)
+    assert dropped
+    assert abs(got - want) <= 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_open_chain_runs_do_not_depend_on_rounding(seed):
+    # the benchmark's open chain: a boundary site of bond 3 makes the local
+    # problems rank deficient, and a 1e-15 relative change of the start must
+    # not change which update the run takes
+    n, m, d = 10, 3, 2
+    rng = np.random.default_rng(seed)
+    bonds = (1,) + (m,) * (n - 1) + (1,)
+    tensors = [
+        (rng.standard_normal((d, bonds[i], bonds[i + 1]))
+         + 1j * rng.standard_normal((d, bonds[i], bonds[i + 1]))) / math.sqrt(2 * d * m)
+        for i in range(n)
+    ]
+    moved = [t * (1.0 + 1e-15 * rng.standard_normal(t.shape)) for t in tensors]
+    obj = distance_objective(w_state(n), "tensor_norm", 1e-3)
+    f0 = run_experiment(obj, MpsObc(tensors), 5).records[-1].f_reg
+    f1 = run_experiment(obj, MpsObc(moved), 5).records[-1].f_reg
+    assert abs(f1 - f0) <= 1e-8
+
+
+def test_oversized_sweep_environment_is_refused_before_allocation(monkeypatch):
+    # an open chain with bond 8 on 11 sites: the state has 2^11 entries, but
+    # E at site 2 has 2^10 * 8 * 8 = 65536, 1 MiB
+    n, m = 11, 8
+    rng = np.random.default_rng(67)
+    init = _random_obc(rng, (2,) * n, (m,) * (n - 1))
+    obj = distance_objective(w_state(n), "tensor_norm", 1e-3)
+    monkeypatch.setenv("TNS_CAPACITY_CAP", str(2**16 - 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError) as err:
+            run_experiment(obj, init, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "site environment with 65536 entries exceeds cap of 65535"
+    assert peak < 2**20  # bytes

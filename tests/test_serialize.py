@@ -149,6 +149,24 @@ def test_non_object_json_is_a_value_error(obj):
         state_from_obj(obj)
 
 
+_WRONG_NESTED_TYPES = [
+    {"kind": "dense_state", "tensor": {"shape": 5, "data": []}},
+    {"kind": "dense_state", "tensor": {"shape": [[2]], "data": []}},
+    {"kind": "mps_obc", "tensors": 5},
+    {"kind": "ttns", "network": [1], "tensors": []},
+    {"kind": "peps", "network": {"dims": 2, "edges": []}, "tensors": []},
+    {"kind": "peps", "network": {"dims": [2, 2], "edges": [5]}, "tensors": []},
+    {"kind": "mera", "L": 2, "m": 2, "d": 2, "layers": [5], "top": {}},
+    {"kind": "mera", "L": [2], "m": 2, "d": 2, "layers": [], "top": {}},
+]
+
+
+@pytest.mark.parametrize("obj", _WRONG_NESTED_TYPES)
+def test_nested_fields_of_the_wrong_type_are_value_errors(obj):
+    with pytest.raises(ValueError):
+        state_from_obj(obj)
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         state_from_obj({"kind": "matrix_product_operator"})
