@@ -24,7 +24,7 @@ import numpy as np
 from .errors import CapacityError, TnsError
 from .geometry import geometry_report
 from .mera import Mera, eval_mera, random_mera, validate_isometries
-from .mps_obc import MpsObc, schmidt
+from .mps_obc import MpsObc, schmidt, schmidt_profile
 from .mps_pbc import (
     MpsPbc,
     injectivity_length,
@@ -220,12 +220,14 @@ def _cmd_schmidt(ns) -> int:
             raise ValueError("state size is not a power of --d; pass --dims")
         dims = [d] * n
     tol = ns.tol if ns.tol is not None else 1e-10
-    cuts = [ns.cut] if ns.cut is not None else list(range(1, len(dims)))
+    if ns.cut is not None:
+        profile = [schmidt(vec, dims, ns.cut, tol)]
+    else:
+        profile = schmidt_profile(vec, dims, tol)
     rows = []
-    for cut in cuts:
-        data = schmidt(vec, dims, cut, tol)
+    for data in profile:
         coeffs = json.dumps([float(c) for c in data.coefficients], separators=(",", ":"))
-        rows.append((cut, data.rank, coeffs))
+        rows.append((data.cut, data.rank, coeffs))
     _write_csv(ns.out, ["cut", "rank", "coefficients"], rows)
     return 0
 

@@ -16,8 +16,11 @@ from .errors import (
 from .tensors import (
     DEFAULT_EVAL_CAP,
     DEFAULT_TOL,
+    WORKING_TOL,
     DenseTensor,
+    _rank_from_singulars,
     as_array,
+    check_capacity,
     contract_network,
     reduced_qr,
     reduced_rq,
@@ -184,11 +187,39 @@ def schmidt(psi, dims, cut: int, tol: float = DEFAULT_TOL) -> SchmidtData:
     arr = as_array(psi).reshape(tuple(dims))
     mat = arr.reshape(math.prod(dims[:cut]), math.prod(dims[cut:]))
     s = np.linalg.svd(mat, compute_uv=False)
-    if s.size == 0 or s[0] <= 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(s > tol * s[0]))
+    rank = _rank_from_singulars(s, tol)
     return SchmidtData(cut=cut, coefficients=s[:rank].copy(), rank=rank)
+
+
+def schmidt_profile(psi, dims, tol: float = DEFAULT_TOL) -> list[SchmidtData]:
+    """`schmidt` at every cut 1..N-1, from one right-to-left sweep.
+
+    The cut-c matrix is held as M times a factor with orthonormal rows, so
+    its singular values are M's; M starts as the state reshaped at cut N-1,
+    and the next cut's M is M reshaped.  Where M has singular values at or
+    below WORKING_TOL * s_max, M becomes U_k S_k of its thin SVD, which moves
+    V_k† into the factor; a full-rank state is never compressed.
+    """
+    dims = [int(d) for d in dims]
+    arr = as_array(psi).reshape(tuple(dims))
+    if len(dims) < 2:
+        return []
+    profile = []
+    mat = arr.reshape(math.prod(dims[:-1]), dims[-1])
+    for cut in range(len(dims) - 1, 0, -1):
+        s = np.linalg.svd(mat, compute_uv=False)
+        rank = _rank_from_singulars(s, tol)
+        profile.append(SchmidtData(cut=cut, coefficients=s[:rank].copy(), rank=rank))
+        keep = _rank_from_singulars(s, WORKING_TOL)
+        if keep == 0:  # the zero state has rank 0 at every cut
+            profile += [SchmidtData(c, s[:0].copy(), 0) for c in range(cut - 1, 0, -1)]
+            break
+        if keep < s.size:
+            check_capacity(mat.shape[0] * keep, what="Schmidt profile factor")
+            u, s, _ = np.linalg.svd(mat, full_matrices=False)
+            mat = u[:, :keep] * s[:keep]
+        mat = mat.reshape(math.prod(dims[: cut - 1]), -1)
+    return profile[::-1]
 
 
 def gauge_transform(mps: MpsObc, bond: int, z) -> MpsObc:

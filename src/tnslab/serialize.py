@@ -6,6 +6,8 @@ so save followed by load is bit-faithful.
 """
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
 import math
 
@@ -37,10 +39,10 @@ def _field(obj, key: str, kind: type):
 
 
 def _ints(values, key: str) -> list[int]:
-    try:
-        return [int(v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"field {key!r} must hold integers") from exc
+    """`values`, which must be a JSON array of integers: no bools, no floats."""
+    if not isinstance(values, list) or not all(type(v) is int for v in values):
+        raise ValueError(f"field {key!r} must hold integers")
+    return values
 
 
 def tensor_from_obj(obj: dict) -> np.ndarray:
@@ -52,7 +54,7 @@ def tensor_from_obj(obj: dict) -> np.ndarray:
         raise ValueError("tensor data does not match its shape")
     try:
         flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError("tensor data must be [re, im] number pairs") from exc
     return flat.reshape(shape)
 
@@ -123,12 +125,30 @@ def state_from_obj(obj: dict):
     return cls(net_cls(_ints(_field(net, "dims", list), "dims"), edges), tensors)
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, restoring the caller's setting.
+
+    A dense state's JSON tree holds one [re, im] list per amplitude; built or
+    parsed under the collector, it sets off hundreds of collections that can
+    free nothing, since the tree has no cycles.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def save_state(state, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(state_to_obj(state)))  # the C encoder; json.dump is pure Python
+    with open(path, "w", encoding="utf-8") as fh, _collector_paused():
+        # the C encoder (json.dump is pure Python); the tree has no cycles
+        fh.write(json.dumps(state_to_obj(state), check_circular=False))
         fh.write("\n")
 
 
 def load_state(path):
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _collector_paused():
         return state_from_obj(json.load(fh))

@@ -20,6 +20,13 @@ from .errors import CapacityError, DimensionMismatchError
 # Singular values below DEFAULT_TOL * s_max count as zero.
 DEFAULT_TOL = 1e-10
 
+# Singular values at or below WORKING_TOL * s_max count as rounding noise
+# where a sweep compresses a matrix (`mps_obc.schmidt_profile`).  A
+# double-precision SVD is accurate to about 1e-16 * s_max, and dropping
+# values this small moves later spectra by about 1e-14 of the norm, four
+# decades below the DEFAULT_TOL rank threshold.
+WORKING_TOL = 1e-14
+
 # Hard cap on dense intermediates (entries, not bytes); the environment
 # variable TNS_CAPACITY_CAP overrides it.
 DEFAULT_CAPACITY_CAP = 2**24

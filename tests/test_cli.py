@@ -129,6 +129,26 @@ def test_certify_nested_fields_of_the_wrong_type_exit_two(tmp_path, capsys, obj)
     assert "must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("shape", [[2.7], [True, 2]])
+def test_certify_non_integral_shape_exits_two(tmp_path, capsys, shape):
+    path = tmp_path / "bad.json"
+    obj = {"kind": "dense_state", "tensor": {"shape": shape, "data": [[1.0, 0.0], [0.0, 0.0]]}}
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["certify", "--input", str(path), "--checks", "wellformed,norm"]) == 2
+    assert "must hold integers" in capsys.readouterr().err
+
+
+def test_certify_integer_too_large_for_a_float_exits_two(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    big = "1" + "0" * 400
+    path.write_text(
+        '{"kind": "dense_state", "tensor": {"shape": [2], "data": [[%s, 0], [0, 0]]}}' % big,
+        encoding="utf-8",
+    )
+    assert main(["certify", "--input", str(path), "--checks", "wellformed"]) == 2
+    assert "[re, im] number pairs" in capsys.readouterr().err
+
+
 def test_certify_unknown_check_is_a_validation_error(tmp_path):
     out = tmp_path / "w.json"
     main(["construct", "--family", "w", "--n", "3", "--out", str(out)])
@@ -158,6 +178,30 @@ def test_schmidt_single_cut_flag(tmp_path):
     ) == 0
     _, rows = _read_csv(report)
     assert len(rows) == 1 and int(rows[0][0]) == 2
+
+
+@pytest.mark.parametrize(
+    "construct, extra",
+    [
+        (["--family", "psi_w", "--n", "10", "--eps", "0.05"], []),
+        (["--family", "two_domain", "--n", "4", "--m", "2"], ["--d", "4"]),
+        (["--family", "mera", "--n", "8", "--m", "2", "--seed", "3"], []),
+    ],
+)
+def test_schmidt_profile_rows_match_single_cut_rows(tmp_path, construct, extra):
+    state = tmp_path / "state.json"
+    assert main(["construct", *construct, "--out", str(state)]) == 0
+    report = tmp_path / "all.csv"
+    assert main(["schmidt", "--input", str(state), *extra, "--out", str(report)]) == 0
+    _, rows = _read_csv(report)
+    assert [int(r[0]) for r in rows] == list(range(1, len(rows) + 1))
+    for cut, rank, coeffs in rows:
+        one = tmp_path / f"cut{cut}.csv"
+        argv = ["schmidt", "--input", str(state), *extra, "--cut", cut, "--out", str(one)]
+        assert main(argv) == 0
+        (want,) = _read_csv(one)[1]
+        assert want[:2] == [cut, rank]
+        assert np.abs(np.array(json.loads(coeffs)) - json.loads(want[2])).max() <= 1e-12
 
 
 def test_injectivity_reference_rows(tmp_path):

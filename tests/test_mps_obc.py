@@ -1,12 +1,14 @@
 """Open-boundary matrix product states: exact ranks, canonical form, gauges."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tnslab.errors import InvertibilityError, NormalizationError, RankError
+from tnslab.errors import CapacityError, InvertibilityError, NormalizationError, RankError
+from tnslab.mera import eval_mera, random_mera
 from tnslab.mps_obc import (
     MpsObc,
     eval_obc,
@@ -14,8 +16,10 @@ from tnslab.mps_obc import (
     gauge_transform,
     right_canonicalize,
     schmidt,
+    schmidt_profile,
 )
-from tnslab.zoo import w_state
+from tnslab.tensors import DEFAULT_TOL, WORKING_TOL
+from tnslab.zoo import psi_w, two_domain_state, w_state
 
 from helpers import bipartition_rank, fidelity, random_state
 
@@ -261,3 +265,128 @@ def test_round_trip_recovers_ranks_and_state(n, seed):
         got = 1 if n == 1 else mps.bond_dims[cut - 1]
         assert got == want
     assert fidelity(eval_obc(mps).array, psi) > 1 - 1e-10
+
+
+def _assert_profile_matches_per_cut(psi, dims):
+    profile = schmidt_profile(psi, dims)
+    want = [schmidt(psi, dims, cut) for cut in range(1, len(dims))]
+    assert [p.cut for p in profile] == list(range(1, len(dims)))
+    assert [p.rank for p in profile] == [w.rank for w in want]
+    for got, ref in zip(profile, want):
+        assert got.coefficients.shape == ref.coefficients.shape
+        if ref.rank:
+            assert np.abs(got.coefficients - ref.coefficients).max() <= 1e-12
+    return profile
+
+
+def _product_state(rng, dims):
+    psi = np.ones(1)
+    for d in dims:
+        psi = np.kron(psi, random_state(rng, (d,)))
+    return psi
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["w", "psi_w_small_eps", "psi_w_large_eps", "two_domain", "random",
+     "mera", "product", "mixed_random", "mixed_low_rank"],
+)
+def test_schmidt_profile_matches_per_cut_schmidt(name):
+    rng = np.random.default_rng(71)
+    if name == "w":
+        psi, dims = w_state(9), [2] * 9
+    elif name == "psi_w_small_eps":
+        psi, dims = psi_w(10, 1e-2), [2] * 10
+    elif name == "psi_w_large_eps":
+        psi, dims = psi_w(10, 0.3), [2] * 10
+    elif name == "two_domain":
+        psi, dims = two_domain_state(5, 2), [4] * 5
+    elif name == "random":
+        psi, dims = random_state(rng, (2,) * 10), [2] * 10
+    elif name == "mera":
+        psi, dims = eval_mera(random_mera(8, 2, 2, 5)), [2] * 8
+    elif name == "product":
+        dims = [2, 3, 2, 4, 2]
+        psi = _product_state(rng, dims)
+    elif name == "mixed_random":
+        dims = [2, 3, 4, 2]
+        psi = random_state(rng, dims)
+    else:
+        dims = [2, 3, 4, 2, 3]
+        psi = eval_obc(_random_mps(rng, dims, (2, 2, 3, 1)))
+    _assert_profile_matches_per_cut(psi, dims)
+
+
+@pytest.mark.parametrize("factor", [1 - 1e-2, 1 + 1e-2])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_schmidt_profile_near_the_rank_tolerance(factor, seed):
+    """|0...0> + factor * DEFAULT_TOL |1...1> under random local unitaries:
+    Schmidt values (1, factor * DEFAULT_TOL) at every cut."""
+    rng = np.random.default_rng(seed)
+    n = 7
+    psi = np.zeros(2**n, dtype=complex)
+    psi[0], psi[-1] = 1.0, factor * DEFAULT_TOL
+    for k in range(n):
+        u = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+        psi = np.einsum("ab,ibj->iaj", u, psi.reshape(2**k, 2, -1)).ravel()
+    profile = _assert_profile_matches_per_cut(psi, [2] * n)
+    assert [p.rank for p in profile] == [2 if factor > 1 else 1] * (n - 1)
+
+
+def test_schmidt_profile_of_the_zero_state_and_of_one_site():
+    profile = _assert_profile_matches_per_cut(np.zeros(2**5), [2] * 5)
+    assert [p.rank for p in profile] == [0] * 4
+    assert all(p.coefficients.size == 0 for p in profile)
+    assert schmidt_profile(np.ones(3), [3]) == []
+
+
+def test_schmidt_profile_rejects_dims_that_do_not_fit():
+    with pytest.raises(ValueError):
+        schmidt_profile(np.ones(8), [2, 3])
+
+
+def test_working_tolerance_sits_decades_below_the_rank_tolerance():
+    assert 0.0 < WORKING_TOL <= 1e-3 * DEFAULT_TOL
+
+
+def _svd_spy(monkeypatch):
+    calls = []
+    real = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
+
+
+def test_schmidt_profile_never_compresses_a_full_rank_state(monkeypatch):
+    rng = np.random.default_rng(72)
+    dims = [2, 3, 4, 2, 2]
+    psi = random_state(rng, dims)
+    calls = _svd_spy(monkeypatch)
+    profile = schmidt_profile(psi, dims)
+    assert [p.rank for p in profile] == [2, 6, 4, 2]
+    assert calls == [False] * 4  # values-only, one per cut, no thin SVD
+
+
+def test_schmidt_profile_compresses_a_low_rank_state(monkeypatch):
+    calls = _svd_spy(monkeypatch)
+    schmidt_profile(w_state(6), [2] * 6)
+    assert calls.count(False) == 5 and calls.count(True) >= 1
+
+
+def test_schmidt_profile_factor_is_capacity_checked(monkeypatch):
+    psi = w_state(14)
+    # cut 13 keeps its 8192 x 2 matrix; cut 12 compresses 4096 x 4 to 4096 x 2
+    monkeypatch.setenv("TNS_CAPACITY_CAP", str(8191))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError) as err:
+            schmidt_profile(psi, [2] * 14)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == "Schmidt profile factor with 8192 entries exceeds cap of 8191"
+    assert peak < 2**20  # bytes

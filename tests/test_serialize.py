@@ -1,4 +1,5 @@
 """JSON round-trips for every supported container."""
+import gc
 import io
 import json
 
@@ -165,6 +166,49 @@ _WRONG_NESTED_TYPES = [
 def test_nested_fields_of_the_wrong_type_are_value_errors(obj):
     with pytest.raises(ValueError):
         state_from_obj(obj)
+
+
+_NON_INTEGRAL_SIZES = [
+    {"kind": "dense_state", "tensor": {"shape": [2.7], "data": [[1, 0], [0, 0]]}},
+    {"kind": "dense_state", "tensor": {"shape": [True, 2], "data": [[1, 0], [0, 0]]}},
+    {"kind": "dense_state", "tensor": {"shape": [2.0], "data": [[1, 0], [0, 0]]}},
+    {"kind": "ttns", "network": {"dims": [2.5, 2], "edges": [[0, 1, 1]]}, "tensors": []},
+    {"kind": "peps", "network": {"dims": [2, 2], "edges": [[0, 1, True]]}, "tensors": []},
+    {"kind": "mera", "L": 4.0, "m": 2, "d": 2, "layers": [], "top": {}},
+    {"kind": "mera", "L": 4, "m": True, "d": 2, "layers": [], "top": {}},
+]
+
+
+@pytest.mark.parametrize("obj", _NON_INTEGRAL_SIZES)
+def test_non_integral_sizes_are_value_errors(obj):
+    with pytest.raises(ValueError, match="must hold integers"):
+        state_from_obj(obj)
+
+
+def test_integer_too_large_for_a_float_is_a_value_error():
+    text = '{"shape": [1], "data": [[1' + "0" * 400 + ", 0]]}"
+    with pytest.raises(ValueError, match=r"\[re, im\] number pairs"):
+        tensor_from_obj(json.loads(text))
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_save_and_load_keep_the_callers_collector_setting(tmp_path, enabled):
+    good, bad, broken = (tmp_path / f for f in ("good.json", "bad.json", "broken.json"))
+    bad.write_text('{"kind": "dense_state", "tensor": {"shape": [2.7], "data": []}}')
+    broken.write_text('{"kind": "dense_state", "tensor": ')
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        save_state(w_state(3), good)
+        assert gc.isenabled() is enabled
+        load_state(good)
+        assert gc.isenabled() is enabled
+        for path in (bad, broken):
+            with pytest.raises(ValueError):
+                load_state(path)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_unknown_kind_rejected():
