@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -416,7 +417,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser():
+    """The parser and its subparsers by name, built once per process and
+    never changed afterwards: a config file fills the parsed namespace."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; explicit flags win")
     common.add_argument("--out", help="output file (default depends on command)")
@@ -515,8 +519,26 @@ def _parse(argv):
         unknown = sorted(set(cfg) - dests)
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
-        by_name[sub].set_defaults(**cfg)
-    return parser.parse_args(argv)
+    ns = parser.parse_args(argv)
+    if cfg_path is not None:
+        _apply_config(by_name[sub], ns, cfg)
+    return ns
+
+
+def _apply_config(sub, ns, cfg: dict) -> None:
+    """Fill the flags the command line left unset (every flag defaults to
+    None) from the config; a string is converted as argparse converts a
+    string default."""
+    for action in sub._actions:
+        if action.dest not in cfg or getattr(ns, action.dest, None) is not None:
+            continue
+        val = cfg[action.dest]
+        if isinstance(val, str):
+            try:
+                val = sub._get_value(action, val)
+            except argparse.ArgumentError as exc:
+                sub.error(str(exc))
+        setattr(ns, action.dest, val)
 
 
 def main(argv=None) -> int:

@@ -35,6 +35,13 @@ GRAM_TOL = 1e-12
 SWEEP_TOL = 1e-10
 DEFAULT_DIVERGENCE = 1e6
 _BACKTRACK_STEPS = 21  # t = 1, 1/2, ..., 2^-20
+# A line-search trial is skipped only when its closed-form f_reg (see
+# `_screen`) exceeds the value to beat by more than SCREEN_TOL times the
+# sizes of the terms summed for it.  The screen and a direct evaluation both
+# round at about 1e-16 times those sizes, so a skipped trial is one the
+# direct evaluation rejects, with seven decades to spare for what
+# cancellation in the products with E, H and the transfer environments adds.
+SCREEN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -177,6 +184,9 @@ def _reg_term(obj: Objective, params) -> float:
     arrs = _tensor_arrays(params)
     if obj.reg_kind == "tensor_norm":
         lams = _site_lambdas(obj, len(arrs))
+        if getattr(params, "translation_invariant", False):  # one shared tensor
+            sq = np.linalg.norm(arrs[0]) ** 2
+            return float(sum(l * sq for l in lams))
         return float(sum(l * np.linalg.norm(a) ** 2 for l, a in zip(lams, arrs)))
     nrm = _norm(_transfer_product(arrs))
     return float(obj.reg_weight) * nrm * nrm
@@ -302,7 +312,8 @@ def _candidate(obj: Objective, loc: _Local, a_old: np.ndarray):
     E^dag E; returns (flattened candidate or None, direction dropped).  A
     distance takes the minimum-norm least-squares solution W W^dag E^dag T;
     an energy is a standard eigenproblem on the orthonormal basis I_d (x) E W,
-    with H applied to one physical index's d^N x p basis vectors at a time."""
+    zero-padded into state order, so that one product with H, a single read
+    of it, gives every block of the effective matrix."""
     env = loc.env
     w, dropped = _kept_basis(env)
     if obj.kind == "distance":
@@ -312,15 +323,13 @@ def _candidate(obj: Objective, loc: _Local, a_old: np.ndarray):
     if p == 0:
         return None, dropped
     q = (env @ w).reshape(loc.dl, loc.dr, p)
-    rows = np.asarray(as_array(obj.hamiltonian)).reshape(loc.dl, d, loc.dr, -1)
-    heff = np.zeros((d, p, d, p), dtype=np.complex128)
-    col = np.zeros((loc.dl, d, loc.dr, p), dtype=np.complex128)
-    for s in range(d):  # the basis vectors with physical index s, in state order
-        col[:, s] = q
-        for t in range(s + 1):  # H is Hermitian: eigh reads the blocks t <= s
-            block = rows[:, t] @ col.reshape(-1, p)  # H's rows with index t only
-            heff[t, :, s] = np.tensordot(q.conj(), block, ([0, 1], [0, 1]))
-        col[:, s] = 0.0
+    check_capacity(loc.dl * d * loc.dr * d * p, what="energy basis")
+    basis = np.zeros((loc.dl, d, loc.dr, d, p), dtype=np.complex128)
+    for s in range(d):  # the basis vectors with physical index s
+        basis[:, s, :, s] = q
+    hb = np.asarray(as_array(obj.hamiltonian)) @ basis.reshape(-1, d * p)
+    hb = hb.reshape(loc.dl, d, loc.dr, d * p).transpose(1, 0, 2, 3).reshape(d, -1, d * p)
+    heff = q.reshape(-1, p).conj().T @ hb  # heff[t, :, (s, :)]
     _, v = np.linalg.eigh(heff.reshape(d * p, d * p), UPLO="U")
     vec = (v[:, 0].reshape(d, p) @ w.T).ravel()
     nrm = float(np.linalg.norm(vec))
@@ -352,19 +361,96 @@ def _line_objective(obj: Objective, params: _Point, site: int, loc: _Local, env=
     return value
 
 
+# The step sizes t and the weights (u^2, u t, t^2) of `_screen`, u = 1 - t.
+_STEPS = 0.5 ** np.arange(_BACKTRACK_STEPS)
+_WEIGHTS = np.stack([(1.0 - _STEPS) ** 2, (1.0 - _STEPS) * _STEPS, _STEPS**2], axis=1)
+
+
+def _screen(obj: Objective, loc: _Local, params: _Point, site: int, env, a0, cand):
+    """(f_reg, margin) at the step sizes t = 1, 1/2, ..., 2^-20 of a set that
+    is not translation invariant, from Gram products alone.
+
+    With u = 1 - t the site array is u a0 + t c and the state u psi_0 +
+    t psi_c, so ||psi||^2, a distance's overlap, an energy's <psi|H|psi> and
+    the tensor_norm term are quadratic in (u, t): 2x2 Grams of (psi_0, psi_c),
+    with the target or with H applied once to each, or of (a0, c).  The
+    transfer product L T(a) R is quadratic too, so its squared norm is a
+    quartic, from the 3x3 Gram of L T(a0) R, L (T(a0, c) + T(c, a0)) R and
+    L T(c) R.  `margin` is SCREEN_TOL times the sizes of the terms summed
+    for each value, by Cauchy-Schwarz from the norms on the Grams' diagonals."""
+
+    def quad(g):  # u^2 g00 + u t (g01 + g10) + t^2 g11, g a 2x2 Gram
+        return _WEIGHTS @ np.array([g[0, 0], g[0, 1] + g[1, 0], g[1, 1]]).real
+
+    def size(g):  # u |x| + t |y| for the Gram g of (x, y), which bounds |u x + t y|
+        return (1.0 - _STEPS) * g[0] + _STEPS * g[1]
+
+    with np.errstate(all="ignore"):  # a value that overflows is never skipped
+        x = np.concatenate((a0, cand)).reshape(2, -1)
+        k = loc.env.shape[1]
+        d = x.shape[1] // k
+        y = loc.env @ x.reshape(-1, k).T  # psi_0 then psi_c, in E's layout
+        if obj.kind == "distance":
+            z = np.concatenate([loc.target, y], axis=1)
+            g = np.trace((z.conj().T @ z).reshape(3, d, 3, d), axis1=1, axis2=3)
+            gram, o = g[1:, 1:], g[0, 1:]  # <psi_i, psi_j> and <target, psi_i>
+        else:
+            states = y.reshape(loc.dl, loc.dr, 2, -1).transpose(2, 0, 3, 1).reshape(2, -1)
+            hvecs = np.asarray(as_array(obj.hamiltonian)) @ states.T  # one read of H
+            gram = states.conj() @ states.T
+        nsq = quad(gram)
+        ssq = size(np.sqrt(np.diag(gram).real)) ** 2
+        if obj.kind == "distance":
+            f = 2.0 * (1.0 - np.abs((1.0 - _STEPS) * o[0] + _STEPS * o[1]) / np.sqrt(nsq))
+            scale = 2.0 * ssq / nsq
+        else:
+            f = quad(states.conj() @ hvecs) / nsq
+            hsize = size(np.sqrt((hvecs.conj() * hvecs).real.sum(axis=0)))
+            scale = (np.sqrt(ssq) * hsize + np.abs(f) * ssq) / nsq
+        if obj.reg_kind == "tensor_norm":
+            lam = _site_lambdas(obj, len(params.tensors))[site - 1]
+            g = x.conj() @ x.T
+            f = f + env + lam * quad(g)
+            scale = scale + env + lam * size(np.sqrt(np.diag(g).real)) ** 2
+        elif obj.reg_kind == "transfer_product":
+            left, right = env
+            (_, ml, mr), lam = params.tensors[site - 1].shape, float(obj.reg_weight)
+            x = x.reshape(2, d, ml, mr)
+            tr = np.einsum("isab,jscd->ijacbd", x.conj(), x).reshape(4, ml * ml, mr * mr)
+            p = left @ tr @ right  # L T(x_i, x_j) R
+            p = np.stack([p[0], p[1] + p[2], p[3]]).reshape(3, -1)
+            g = (p.conj() @ p.T).real
+            f = f + lam * ((_WEIGHTS @ g) * _WEIGHTS).sum(axis=1)
+            sigma = _WEIGHTS @ np.sqrt(np.diag(g))
+            scale = scale + lam * sigma * sigma
+        return f, SCREEN_TOL * scale
+
+
 def _als_step(obj: Objective, params: _Point, site: int, freg_old: float, loc=None, env=None):
     """One guarded local update from the current f_reg; returns
     (new params, direction dropped, new f_reg).  A sweep passes the local
     problem and the regularizer's environment from its caches; without them
-    both are built from the whole network."""
+    both are built from the whole network.
+
+    The first trial, from t = 1 down by halving, that does not raise f_reg
+    is accepted.  Unless the tensor is shared (its state has degree N in t),
+    a t = 1 rejected by more than SCREEN_TOL |freg_old| builds `_screen`,
+    and a later trial whose finite screened f_reg exceeds freg_old by more
+    than its margin is skipped.  Every trial reached is decided directly, so
+    the step is bitwise that of the plain loop; near ties stay direct."""
     a_old = params.tensors[site - 1].ravel()
     if loc is None:
         loc = _network_local(obj, params.tensors, site)
+    if env is None and not params.translation_invariant:
+        env = _reg_env(obj, params.tensors, site)
     cand, dropped = _candidate(obj, loc, a_old)
     if cand is None:
         return params, dropped, freg_old
     value = _line_objective(obj, params, site, loc, env)
+    sure = [False] * _BACKTRACK_STEPS  # trials the screen shows to be rejected
     for k in range(_BACKTRACK_STEPS):
+        if sure[k]:
+            continue
         t = 0.5 ** k
         a_new = (1.0 - t) * a_old + t * cand
         try:
@@ -374,6 +460,11 @@ def _als_step(obj: Objective, params: _Point, site: int, freg_old: float, loc=No
         if freg_new <= freg_old:
             shape = params.tensors[site - 1].shape
             return _with_site(params, site, a_new.reshape(shape)), dropped, freg_new
+        if k == 0 and not params.translation_invariant and (
+            freg_new - freg_old > SCREEN_TOL * abs(freg_old)  # not a near tie
+        ):
+            screened, margin = _screen(obj, loc, params, site, env, a_old, cand)
+            sure = (np.isfinite(screened) & (screened - freg_old > margin)).tolist()
     return params, dropped, freg_old
 
 
@@ -389,7 +480,10 @@ def _sweep(obj: Objective, params: _Point, freg: float):
     one product of L_k and R_k over m_0, not a contraction of N - 1 sites;
     a chain's boundary bonds have dimension 1.  The regularizer's environment
     is cached the same way: the tensor_norm terms, or the transfer products
-    E_{k+1}...E_N and E_1...E_{k-1}.
+    E_{k+1}...E_N and E_1...E_{k-1}.  The same E and environments serve a
+    step's closed-form screen (`_screen`), which skips the trials it shows,
+    with a margin of SCREEN_TOL times the sizes of the summed terms, to be
+    rejected: a step that rejects every trial costs one direct trial.
     """
     arrs = params.tensors
     n, m0 = len(arrs), arrs[0].shape[1]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import itertools
 import json
 import math
 
@@ -52,11 +53,15 @@ def tensor_from_obj(obj: dict) -> np.ndarray:
     data = _field(obj, "data", list)
     if min(shape, default=0) < 0 or len(data) != math.prod(shape):
         raise ValueError("tensor data does not match its shape")
+    numbers = itertools.chain.from_iterable
     try:
-        flat = np.array([complex(re, im) for re, im in data], dtype=np.complex128)
+        # pairs of JSON numbers only: a bool would pass as 0 or 1
+        if set(map(len, data)) - {2} or set(map(type, numbers(data))) - {int, float}:
+            raise TypeError
+        flat = np.fromiter(numbers(data), dtype=np.float64, count=2 * len(data))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError("tensor data must be [re, im] number pairs") from exc
-    return flat.reshape(shape)
+    return flat.view(np.complex128).reshape(shape)
 
 
 def state_to_obj(state) -> dict:
@@ -118,7 +123,10 @@ def state_from_obj(obj: dict):
     if kind == "mps_obc":
         return MpsObc(tensors)
     if kind == "mps_pbc":
-        return MpsPbc(tensors, bool(obj.get("translation_invariant", False)))
+        ti = obj.get("translation_invariant", False)
+        if type(ti) is not bool:
+            raise ValueError("field 'translation_invariant' must be true or false")
+        return MpsPbc(tensors, ti)
     net_cls, cls = (TreeNetwork, Ttns) if kind == "ttns" else (PepsNetwork, Peps)
     net = _field(obj, "network", dict)
     edges = [tuple(_ints(e, "edges")) for e in _field(net, "edges", list)]

@@ -4,6 +4,13 @@ Everything downstream (MPS conversions, canonical forms, rank certification)
 reduces to four primitives on matrices: contraction, reduced RQ, SVD with a
 relative rank cutoff, and nullspace extraction.  They live here so the rank
 tolerance convention is defined in exactly one place.
+
+`contract_network` contracts pairwise in a memoized plan.  Each step of a
+plan stores what `np.tensordot` would derive from the shapes on every call:
+the transposes of both operands, their 2-D shapes and the output shape.  A
+step then runs tensordot's own arithmetic, one `np.dot` of the two reshaped
+operands, so results are bitwise those of tensordot without its per-call
+bookkeeping.
 """
 from __future__ import annotations
 
@@ -155,11 +162,11 @@ def contract_network(
     steps, perm, size, peak = _plan(labels, shapes, tuple(open_labels))
     check_capacity(size, cap=cap, what="contraction result")
     check_capacity(peak, what="contraction intermediate")
-    nodes = list(arrays)
-    for ia, ib, ax_a, ax_b in steps:
+    nodes = [np.asarray(a) for a in arrays]
+    for ia, ib, pa, sa, pb, sb, out in steps:
         b = nodes.pop(ib)
         a = nodes.pop(ia)
-        nodes.append(np.tensordot(a, b, axes=(ax_a, ax_b)))
+        nodes.append(np.dot(a.transpose(pa).reshape(sa), b.transpose(pb).reshape(sb)).reshape(out))
     return nodes[0].transpose(perm)
 
 
@@ -172,7 +179,9 @@ PLAN_MEMO_SIZE = 256
 def _plan(labels: tuple, shapes: tuple, open_labels: tuple):
     """Greedy pairwise order: merge the pair whose result is smallest; take an
     outer product only when no two nodes share a label.  Ties go to the
-    earliest pair.  Returns (steps, final permutation, size, peak size)."""
+    earliest pair.  Returns (steps, final permutation, size, peak size); a
+    step (ia, ib, pa, sa, pb, sb, out) is np.tensordot(nodes[ia], nodes[ib])
+    with the transposes, 2-D shapes and output shape it would derive."""
     ext: dict = {}
     seen: dict = {}
     for labs, shape in zip(labels, shapes):
@@ -206,9 +215,16 @@ def _plan(labels: tuple, shapes: tuple, open_labels: tuple):
         (_, size, ia, ib), shared, merged = best
         lab_b = nodes.pop(ib)
         lab_a = nodes.pop(ia)
-        ax_a = tuple(lab_a.index(lb) for lb in shared)
-        ax_b = tuple(lab_b.index(lb) for lb in shared)
-        steps.append((ia, ib, ax_a, ax_b))
+        # tensordot's layout: a's free legs then the shared ones, b's shared
+        # legs (in a's order) then its free ones
+        free_a = [lb for lb in lab_a if lb not in shared]
+        free_b = [lb for lb in lab_b if lb not in shared]
+        inner = math.prod(ext[lb] for lb in shared)
+        pa = tuple(lab_a.index(lb) for lb in free_a + shared)
+        pb = tuple(lab_b.index(lb) for lb in shared + free_b)
+        sa = (math.prod(ext[lb] for lb in free_a), inner)
+        sb = (inner, math.prod(ext[lb] for lb in free_b))
+        steps.append((ia, ib, pa, sa, pb, sb, tuple(ext[lb] for lb in merged)))
         nodes.append(merged)
         peak = max(peak, size)
     perm = tuple(nodes[0].index(lb) for lb in open_labels)

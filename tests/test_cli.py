@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from tnslab import cli
 from tnslab.cli import main
 from tnslab.mps_obc import right_canonicalize
 from tnslab.serialize import load_state, save_state
@@ -98,13 +99,29 @@ def test_certify_failures_exit_two(tmp_path):
     assert main(["certify", "--input", str(ring), "--checks", "ti"]) == 2
 
 
-@pytest.mark.parametrize("data", [[1.0, 2.0], [["a", 0], [1, 0]]])
+@pytest.mark.parametrize("data", [[1.0, 2.0], [["a", 0], [1, 0]], [[True, 0], [1, 0]]])
 def test_certify_malformed_tensor_data_exits_two(tmp_path, capsys, data):
     path = tmp_path / "bad.json"
     obj = {"kind": "dense_state", "tensor": {"shape": [2], "data": data}}
     path.write_text(json.dumps(obj), encoding="utf-8")
     assert main(["certify", "--input", str(path), "--checks", "wellformed"]) == 2
     assert "[re, im] number pairs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["false", 1])
+def test_certify_non_boolean_ti_flag_exits_two(tmp_path, capsys, flag):
+    ring = tmp_path / "ring.json"
+    main(
+        [
+            "construct", "--family", "psi_tau", "--n", "3", "--m", "2",
+            "--eps", "0.5", "--out", str(ring),
+        ]
+    )
+    obj = json.loads(ring.read_text(encoding="utf-8"))
+    obj["translation_invariant"] = flag
+    ring.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["certify", "--input", str(ring), "--checks", "wellformed"]) == 2
+    assert "must be true or false" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("obj", [{"kind": "dense_state", "tensor": 5}, [1, 2]])
@@ -386,6 +403,24 @@ def test_config_file_supplies_flags(tmp_path, capsys):
         ["construct", "--config", str(cfg), "--n", "3", "--out", str(out_flag)]
     ) == 0
     assert load_state(out_flag).array.size == 8
+    capsys.readouterr()
+
+
+def test_config_does_not_leak_into_later_calls(tmp_path, monkeypatch, capsys):
+    # the parser is built once per process, so one call's config must not
+    # become the next call's defaults
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "w.json"
+    cfg.write_text(json.dumps({"family": "w", "n": "4", "out": str(out)}), encoding="utf-8")
+    assert main(["construct", "--config", str(cfg)]) == 0
+    assert load_state(out).array.size == 16  # "4" converted by the flag's type
+    assert cli._build_parser() is cli._build_parser()
+    monkeypatch.chdir(tmp_path)
+    assert main(["construct"]) == 64
+    ns = cli._parse(["construct", "--family", "w"])
+    assert (ns.family, ns.n, ns.out, ns.config) == ("w", None, None, None)
+    cfg.write_text(json.dumps({"family": "w", "n": "four"}), encoding="utf-8")
+    assert main(["construct", "--config", str(cfg)]) == 64
     capsys.readouterr()
 
 

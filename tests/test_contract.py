@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tnslab.errors import CapacityError
-from tnslab.mps_obc import MpsObc, eval_obc
+from tnslab import tensors
+from tnslab.mps_obc import MpsObc, chain_network, eval_obc
 from tnslab.mps_pbc import MpsPbc, eval_pbc, ti_mps
 from tnslab.peps import Peps, PepsNetwork, eval_peps, mu_peps, ring_network
 from tnslab.tensors import contract_network, site_environment, site_matrix
@@ -146,3 +147,82 @@ def test_disconnected_parts_join_by_outer_product():
     b = np.arange(3.0)
     got = contract_network([b, a], [("j",), ("i",)], ["i", "j"])
     assert np.array_equal(got, np.outer(a, b))
+
+
+def _tensordot_replay(arrays, labels, open_labels):
+    """The network contracted pairwise in contract_network's plan order, each
+    pair by np.tensordot over the legs it shares."""
+    shapes = tuple(np.shape(a) for a in arrays)
+    steps = tensors._plan(tuple(map(tuple, labels)), shapes, tuple(open_labels))[0]
+    nodes, labs = list(arrays), [list(lb) for lb in labels]
+    for ia, ib, *_ in steps:
+        b, lab_b = nodes.pop(ib), labs.pop(ib)
+        a, lab_a = nodes.pop(ia), labs.pop(ia)
+        shared = [lb for lb in lab_a if lb in lab_b]
+        axes = ([lab_a.index(lb) for lb in shared], [lab_b.index(lb) for lb in shared])
+        nodes.append(np.tensordot(a, b, axes))
+        labs.append([lb for lb in lab_a + lab_b if lb not in shared])
+    return nodes[0].transpose([labs[0].index(lb) for lb in open_labels])
+
+
+def _network(rng, kind, n):
+    if kind == "chain":
+        return _random_obc(rng, n).tensor_network()
+    if kind == "ring":
+        return _random_pbc(rng, n, False).tensor_network()
+    if kind == "single":  # one site closed through an identity
+        m, d = (int(x) for x in rng.integers(1, 4, size=2))
+        return chain_network([_cnormal(rng, (d, m, m))])
+    if kind == "tree":
+        edges = [(v + 1, int(rng.integers(v)) + 1, int(rng.integers(1, 4))) for v in range(1, n)]
+        dims = [int(d) for d in rng.integers(1, 4, size=n)]
+        net = TreeNetwork(dims, edges)
+        return Ttns(net, _graph_tensors(rng, n, dims, net.edges)).tensor_network()
+    # outer products: no two tensors share a label
+    shapes = [tuple(int(x) for x in rng.integers(1, 4, size=rng.integers(0, 3))) for _ in range(n)]
+    labels, k = [], 0
+    for shape in shapes:
+        labels.append(tuple(range(k, k + len(shape))))
+        k += len(shape)
+    return [_cnormal(rng, sh) for sh in shapes], labels, tuple(rng.permutation(k).tolist())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=SEEDS,
+    kind=st.sampled_from(["chain", "ring", "tree", "outer", "single"]),
+    n=st.integers(1, 6),
+)
+def test_contraction_is_bitwise_a_tensordot_replay_of_its_plan(seed, kind, n):
+    # each planned step stores tensordot's transposes and shapes, so the
+    # stored arithmetic must reproduce tensordot's bit for bit
+    arrays, labels, open_labels = _network(np.random.default_rng(seed), kind, n)
+    got = contract_network(arrays, labels, open_labels)
+    want = _tensordot_replay(arrays, labels, open_labels)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
+def _refused_before_allocation(evaluate, state):
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError) as err:
+            evaluate(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # bytes; the state alone would take 32 MiB
+    return str(err.value)
+
+
+def test_oversized_chain_state_is_refused_before_allocation():
+    mps = MpsObc([np.ones((2, 1, 1), dtype=complex)] * 21)
+    msg = _refused_before_allocation(eval_obc, mps)
+    assert msg == f"contraction result with {2**21} entries exceeds cap of {2**20}"
+
+
+def test_oversized_tree_state_is_refused_before_allocation():
+    net = TreeNetwork([2] * 21, [(v, v // 2, 1) for v in range(2, 22)])
+    tree = Ttns(net, [np.ones((2,) + (1,) * len(net.incident(v))) for v in range(1, 22)])
+    msg = _refused_before_allocation(eval_ttns, tree)
+    assert msg == f"contraction result with {2**21} entries exceeds cap of {2**20}"

@@ -552,6 +552,59 @@ def test_rank_deficient_energy_candidate_is_the_lowest_state_in_range(case):
     assert abs(got - want) <= 1e-10 * abs(want)
 
 
+def _per_index_energy_candidate(obj, loc, a_old):
+    """The energy candidate with H applied to one physical index's basis
+    vectors at a time, reading only H's blocks t <= s."""
+    env = loc.env
+    w, _ = optimize._kept_basis(env)
+    d, p = a_old.size // env.shape[1], w.shape[1]
+    q = (env @ w).reshape(loc.dl, loc.dr, p)
+    rows = np.asarray(obj.hamiltonian.array).reshape(loc.dl, d, loc.dr, -1)
+    heff = np.zeros((d, p, d, p), dtype=np.complex128)
+    col = np.zeros((loc.dl, d, loc.dr, p), dtype=np.complex128)
+    for s in range(d):
+        col[:, s] = q
+        for t in range(s + 1):
+            block = rows[:, t] @ col.reshape(-1, p)
+            heff[t, :, s] = np.tensordot(q.conj(), block, ([0, 1], [0, 1]))
+        col[:, s] = 0.0
+    _, v = np.linalg.eigh(heff.reshape(d * p, d * p), UPLO="U")
+    vec = (v[:, 0].reshape(d, p) @ w.T).ravel()
+    vec = vec / np.linalg.norm(vec)
+    ref = complex(np.vdot(vec, a_old))
+    return vec * (ref / abs(ref)) * np.linalg.norm(a_old)
+
+
+@pytest.mark.parametrize("shape,d", [("obc", 2), ("pbc", 2), ("pbc", 3)])
+def test_energy_candidate_matches_the_per_index_products(shape, d):
+    # one product with the zero-padded basis reads H once and must give the
+    # candidate that the per-index products gave
+    rng = np.random.default_rng(72)
+    n = 4
+    h = rng.standard_normal((d**n, d**n)) + 1j * rng.standard_normal((d**n, d**n))
+    obj = energy_objective(h + h.conj().T)
+    params = _random_obc(rng, (d,) * n, (2, 3, 2)) if shape == "obc" else _random_pbc(rng, n, d, 2)
+    point = optimize._point(params)
+    for site in range(1, n + 1):
+        a_old = point.tensors[site - 1].ravel()
+        loc = optimize._network_local(obj, point.tensors, site)
+        cand, _ = optimize._candidate(obj, loc, a_old)
+        want = _per_index_energy_candidate(obj, loc, a_old)
+        assert np.linalg.norm(cand - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_energy_basis_goes_through_the_capacity_guard(monkeypatch):
+    # a ring of 4 sites, d = 2, m = 2: the padded basis is 16 x (2 * 4)
+    rng = np.random.default_rng(73)
+    h = rng.standard_normal((16, 16))
+    obj = energy_objective(h + h.T)
+    point = optimize._point(_random_pbc(rng, 4, 2, 2))
+    loc = optimize._network_local(obj, point.tensors, 1)
+    monkeypatch.setenv("TNS_CAPACITY_CAP", "127")
+    with pytest.raises(CapacityError, match="energy basis with 128 entries exceeds cap of 127"):
+        optimize._candidate(obj, loc, point.tensors[0].ravel())
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_open_chain_runs_do_not_depend_on_rounding(seed):
     # the benchmark's open chain: a boundary site of bond 3 makes the local
@@ -589,3 +642,140 @@ def test_oversized_sweep_environment_is_refused_before_allocation(monkeypatch):
         tracemalloc.stop()
     assert str(err.value) == "site environment with 65536 entries exceeds cap of 65535"
     assert peak < 2**20  # bytes
+
+
+def _backtracking_step(obj, params, site, freg_old, loc=None, env=None):
+    """The sequential backtracking loop without the screen: every trial from
+    t = 1 down is evaluated directly until one does not raise f_reg."""
+    a_old = params.tensors[site - 1].ravel()
+    if loc is None:
+        loc = optimize._network_local(obj, params.tensors, site)
+    cand, dropped = optimize._candidate(obj, loc, a_old)
+    if cand is None:
+        return params, dropped, freg_old
+    value = optimize._line_objective(obj, params, site, loc, env)
+    for k in range(optimize._BACKTRACK_STEPS):
+        t = 0.5 ** k
+        a_new = (1.0 - t) * a_old + t * cand
+        try:
+            freg_new = value(a_new)
+        except NormalizationError:
+            continue
+        if freg_new <= freg_old:
+            shape = params.tensors[site - 1].shape
+            return optimize._with_site(params, site, a_new.reshape(shape)), dropped, freg_new
+    return params, dropped, freg_old
+
+
+def _counted_trials(monkeypatch):
+    """Patch _line_objective so that every direct trial is counted."""
+    trials = []
+    line_objective = optimize._line_objective
+
+    def counted(*args):
+        value = line_objective(*args)
+        return lambda a: trials.append(1) or value(a)
+
+    monkeypatch.setattr(optimize, "_line_objective", counted)
+    return trials
+
+
+def _trial_values(obj, point, site):
+    """The direct f_reg of every trial of a step, nan where it raises."""
+    a_old = point.tensors[site - 1].ravel()
+    loc = optimize._network_local(obj, point.tensors, site)
+    cand, _ = optimize._candidate(obj, loc, a_old)
+    value = optimize._line_objective(obj, point, site, loc)
+    out = []
+    for k in range(optimize._BACKTRACK_STEPS):
+        t = 0.5 ** k
+        try:
+            out.append(value((1.0 - t) * a_old + t * cand))
+        except NormalizationError:
+            out.append(math.nan)
+    return out
+
+
+_OFFSETS = (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["distance", "energy"])
+@pytest.mark.parametrize("shape", ["obc", "pbc"])
+@pytest.mark.parametrize("reg", ["none", "tensor_norm", "transfer_product"])
+def test_screened_steps_match_the_backtracking_loop_bitwise(monkeypatch, kind, shape, reg):
+    # lowering the value to beat moves the accepted trial down the step
+    # sizes, past trials the screen skips, or rejects every trial; near ties
+    # (offsets near SCREEN_TOL) are decided by direct evaluations, and a
+    # value to beat equal to a trial's own value must accept that trial
+    rng = np.random.default_rng(69)
+    n = 4
+    if kind == "distance":
+        obj = distance_objective(random_state(rng, (2,) * n), reg, 1e-2)
+    else:
+        h = rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n))
+        obj = energy_objective(h + h.conj().T, reg, 1e-2)
+    params = _random_obc(rng, (2,) * n, (2, 3, 2)) if shape == "obc" else _random_pbc(rng, n, 2, 2)
+    point = optimize._point(params)
+    trials = _counted_trials(monkeypatch)
+    direct = 0
+    for sweep in range(3):
+        for site in range(1, n + 1):
+            _, freg = objective_value(obj, point)
+            ties = [v for v in _trial_values(obj, point, site)[1::4] if math.isfinite(v)]
+            for freg_old in [freg - x * max(1.0, abs(freg)) for x in _OFFSETS] + ties:
+                del trials[:]
+                want = _backtracking_step(obj, point, site, freg_old)
+                direct += len(trials)
+                del trials[:]
+                got = optimize._als_step(obj, point, site, freg_old)
+                direct -= len(trials)
+                assert got[1:] == want[1:]
+                assert all(np.array_equal(a, b) for a, b in zip(got[0].tensors, want[0].tensors))
+            point = got[0] if got[2] <= freg else point
+    assert direct > 0  # the screen skipped trials
+
+
+def test_a_step_that_rejects_everything_makes_one_direct_trial(monkeypatch):
+    # no trial of a ring step beats f_reg = 0, below every distance's f_reg:
+    # the t = 1 trial is rejected directly, the rest by the screen
+    rng = np.random.default_rng(70)
+    obj = distance_objective(random_state(rng, (2,) * 6), "transfer_product", 1e-3)
+    point = optimize._point(MpsPbc([t.array / 3 for t in _random_pbc(rng, 6, 2, 2).tensors]))
+    trials = _counted_trials(monkeypatch)
+    for site in range(1, 7):
+        del trials[:]
+        assert _backtracking_step(obj, point, site, 0.0)[2] == 0.0
+        assert len(trials) == optimize._BACKTRACK_STEPS
+        del trials[:]
+        new, _, value = optimize._als_step(obj, point, site, 0.0)
+        assert len(trials) == 1
+        assert new is point and value == 0.0
+
+
+def test_an_overflowing_screen_skips_nothing_and_stays_silent(monkeypatch):
+    # a candidate near 1e100 keeps the state finite but overflows the
+    # transfer product, in the direct trials and in the screen's Grams
+    rng = np.random.default_rng(71)
+    obj = distance_objective(random_state(rng, (2,) * 4), "transfer_product", 1e-3)
+    point = optimize._point(_random_pbc(rng, 4, 2, 2))
+    _, freg = objective_value(obj, point)
+    candidate, screen = optimize._candidate, optimize._screen
+    screened = []
+
+    def huge(*args):
+        cand, dropped = candidate(*args)
+        return 1e100 * cand, dropped
+
+    def spy(*args):
+        screened.append(screen(*args)[0])
+        return screened[-1], screen(*args)[1]
+
+    monkeypatch.setattr(optimize, "_candidate", huge)
+    monkeypatch.setattr(optimize, "_screen", spy)
+    trials = _counted_trials(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        new, _, value = optimize._als_step(obj, point, 2, freg)
+    assert new is point and value == freg
+    assert len(screened) == 1 and not np.isfinite(screened[0]).any()
+    assert len(trials) == optimize._BACKTRACK_STEPS

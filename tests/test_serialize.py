@@ -23,7 +23,7 @@ from tnslab.serialize import (
 )
 from tnslab.tensors import DenseTensor, as_array
 from tnslab.ttns import TreeNetwork, Ttns
-from tnslab.zoo import aklt_tensor, w_state
+from tnslab.zoo import aklt_tensor, psi_tau_tensors, w_state
 
 
 def test_tensor_obj_layout():
@@ -68,6 +68,19 @@ def test_mps_pbc_round_trip_keeps_the_ti_flag():
     assert back.translation_invariant is True
     for a, b in zip(state.tensors, back.tensors):
         assert np.abs(a.array - b.array).max() == 0.0
+
+
+@pytest.mark.parametrize("flag", ["false", 1, 0, [0], None])
+def test_ti_flag_must_be_a_json_bool(flag):
+    # a string or number that bool() would read as true or false
+    obj = state_to_obj(psi_tau_tensors(3, 2, 0.5))
+    obj["translation_invariant"] = flag
+    with pytest.raises(ValueError, match="must be true or false"):
+        state_from_obj(obj)
+    obj["translation_invariant"] = False
+    assert state_from_obj(obj).translation_invariant is False
+    del obj["translation_invariant"]
+    assert state_from_obj(obj).translation_invariant is False
 
 
 def test_ttns_round_trip():
@@ -133,7 +146,8 @@ def test_save_state_text_matches_the_per_amplitude_writer(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize(
     "data",
-    [[1.0, 2.0], [["a", 0], [1, 0]], [[1.0, 0.0, 0.0], [1.0, 0.0]], 7],
+    [[1.0, 2.0], [["a", 0], [1, 0]], [[1.0, 0.0, 0.0], [1.0, 0.0]], 7,
+     [[True, 0], [1, 0]], [[1.0, 0.0], [0.5, False]], ["ab", [1, 0]], [{"a": 1, "b": 2}, [1, 0]]],
 )
 def test_malformed_tensor_data_is_a_value_error(data):
     with pytest.raises(ValueError):
