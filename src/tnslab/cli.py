@@ -340,10 +340,7 @@ def _cmd_optimize(ns) -> int:
     lam = ns.lam if ns.lam is not None else 0.0
     reg = ns.reg or "none"
     kind = ns.objective or "distance"
-    if kind == "distance":
-        target = ns.target or "w"
-        if target != "w":
-            raise ValueError(f"unknown target {target!r}")
+    if kind == "distance":  # the target is always the W state
         obj = distance_objective(w_state(ns.n, ns.d or 2), reg, lam)
     elif kind == "energy":
         theta = ns.theta if ns.theta is not None else 0.0
@@ -424,7 +421,8 @@ def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; explicit flags win")
     common.add_argument("--out", help="output file (default depends on command)")
-    common.add_argument("--tol", type=float, help="numerical tolerance")
+    with_tol = argparse.ArgumentParser(add_help=False, parents=[common])
+    with_tol.add_argument("--tol", type=float, help="numerical tolerance")
 
     parser = _Parser(prog="tnslab", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -439,12 +437,12 @@ def _build_parser():
     p.add_argument("--seed", type=int)
     by_name["construct"] = p
 
-    p = subs.add_parser("certify", parents=[common])
+    p = subs.add_parser("certify", parents=[with_tol])
     p.add_argument("--input")
     p.add_argument("--checks", help="comma list: wellformed,norm,canonical,ti,isometry")
     by_name["certify"] = p
 
-    p = subs.add_parser("schmidt", parents=[common])
+    p = subs.add_parser("schmidt", parents=[with_tol])
     p.add_argument("--input")
     p.add_argument("--dims", help="comma list of site dimensions")
     p.add_argument("--d", type=int)
@@ -459,7 +457,7 @@ def _build_parser():
     p.add_argument("--max-len", type=int, dest="max_len")
     by_name["injectivity"] = p
 
-    p = subs.add_parser("geometry", parents=[common])
+    p = subs.add_parser("geometry", parents=[with_tol])
     p.add_argument("--state")
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
@@ -472,7 +470,6 @@ def _build_parser():
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--d", type=int)
-    p.add_argument("--target")
     p.add_argument("--theta", type=float)
     p.add_argument("--reg")
     p.add_argument("--lambda", type=float, dest="lam")
@@ -486,42 +483,25 @@ def _build_parser():
     p = subs.add_parser("sweep", parents=[common])
     p.add_argument("--family")
     p.add_argument("--n", type=int)
-    p.add_argument("--m", type=int)
     p.add_argument("--eps", help="comma list or A..B decade grid")
     by_name["sweep"] = p
 
     return parser, by_name
 
 
-def _config_path(argv) -> str | None:
-    for i, tok in enumerate(argv):
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                raise _UsageError("--config needs a path")
-            return argv[i + 1]
-        if tok.startswith("--config="):
-            return tok.split("=", 1)[1]
-    return None
-
-
 def _parse(argv):
     parser, by_name = _build_parser()
-    cfg_path = _config_path(argv)
-    if cfg_path is not None:
-        with open(cfg_path, encoding="utf-8") as fh:
+    ns = parser.parse_args(argv)
+    if ns.config is not None:
+        with open(ns.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ValueError("config must be a JSON object")
-        sub = next((t for t in argv if t in by_name), None)
-        if sub is None:
-            raise _UsageError("a subcommand is required with --config")
-        dests = {a.dest for a in by_name[sub]._actions}
-        unknown = sorted(set(cfg) - dests)
+        sub = by_name[ns.command]
+        unknown = sorted(set(cfg) - {a.dest for a in sub._actions})
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
-    ns = parser.parse_args(argv)
-    if cfg_path is not None:
-        _apply_config(by_name[sub], ns, cfg)
+        _apply_config(sub, ns, cfg)
     return ns
 
 

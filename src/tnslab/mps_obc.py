@@ -1,5 +1,5 @@
-"""Open-boundary MPS: state conversion by RQ sweeps, right-canonical form,
-Schmidt data, and bond gauge transformations."""
+"""Open-boundary MPS: state conversion by sweeps of leg splits, right-canonical
+form, Schmidt data, and bond gauge transformations."""
 from __future__ import annotations
 
 import math
@@ -22,8 +22,7 @@ from .tensors import (
     as_array,
     check_capacity,
     contract_network,
-    reduced_qr,
-    reduced_rq,
+    split_leg,
 )
 
 
@@ -108,7 +107,7 @@ def eval_obc(mps: MpsObc, cap: int = DEFAULT_EVAL_CAP) -> DenseTensor:
 
 
 def from_state_obc(psi, dims, max_bond: int | None = None) -> MpsObc:
-    """Exact MPS from a state tensor by a right-to-left sweep of reduced RQs.
+    """Exact MPS from a state tensor by a right-to-left sweep of leg splits.
 
     Every interior bond dimension comes out equal to the Schmidt rank of the
     corresponding cut; there is no truncation (max_bond below a rank raises).
@@ -120,56 +119,40 @@ def from_state_obc(psi, dims, max_bond: int | None = None) -> MpsObc:
         raise NormalizationError(f"state norm {nrm!r} differs from 1 by more than 1e-8")
     n = len(dims)
     tensors: list[DenseTensor | None] = [None] * n
-    mat = arr.reshape(-1)
-    right = 1
+    mat = arr.reshape(-1, 1)
     for i in range(n - 1, 0, -1):
-        rows = math.prod(dims[:i])
-        r, q = reduced_rq(mat.reshape(rows, dims[i] * right))
-        rank = q.shape[0]
-        if max_bond is not None and rank > max_bond:
+        q, mat = split_leg(mat.reshape(-1, dims[i], mat.shape[1]), 0)
+        if max_bond is not None and q.shape[0] > max_bond:
             raise RankError(
-                f"Schmidt rank {rank} at cut {i} exceeds max_bond {max_bond}; "
+                f"Schmidt rank {q.shape[0]} at cut {i} exceeds max_bond {max_bond}; "
                 "truncation is not supported"
             )
-        tensors[i] = DenseTensor(q.array.reshape(rank, dims[i], right).transpose(1, 0, 2))
-        mat = r.array
-        right = rank
-    tensors[0] = DenseTensor(mat.reshape(1, dims[0], right).transpose(1, 0, 2))
+        tensors[i] = DenseTensor(q.transpose(1, 0, 2))
+    tensors[0] = DenseTensor(mat.reshape(1, dims[0], -1).transpose(1, 0, 2))
     return MpsObc(tensors)
 
 
 def right_canonicalize(mps: MpsObc) -> MpsObc:
     """Bring an MPS to right-canonical form (sum_s B^s B^s+ = identity).
 
-    A left-to-right reduced-QR pass first makes every left block injective, so
-    the right-to-left RQ pass lands on exact Schmidt ranks; padded bonds
+    A left-to-right pass of leg splits first makes every left block injective,
+    so the right-to-left pass lands on exact Schmidt ranks; padded bonds
     collapse.  The state is normalized, and the global phase is fixed by making
     the largest-magnitude amplitude real positive whenever the full state fits
     in the evaluation cap.
     """
     n = len(mps)
-    tensors = [np.asarray(as_array(t)) for t in mps.tensors]
+    # (left, physical, right) axes while sweeping
+    tensors = [as_array(t).transpose(1, 0, 2) for t in mps.tensors]
     for i in range(n - 1):
-        d, a, b = tensors[i].shape
-        q, r = reduced_qr(tensors[i].transpose(1, 0, 2).reshape(a * d, b))
-        rank = q.shape[1]
-        if rank == 0:
-            raise NormalizationError("zero state cannot be canonicalized")
-        tensors[i] = q.array.reshape(a, d, rank).transpose(1, 0, 2)
-        tensors[i + 1] = np.tensordot(
-            r.array, tensors[i + 1], axes=([1], [1])
-        ).transpose(1, 0, 2)
+        tensors[i], r = split_leg(tensors[i], 2)
+        tensors[i + 1] = np.tensordot(r, tensors[i + 1], axes=([0], [0]))
     for i in range(n - 1, -1, -1):
-        d, a, b = tensors[i].shape
-        r, q = reduced_rq(tensors[i].transpose(1, 0, 2).reshape(a, d * b))
-        rank = q.shape[0]
-        if rank == 0:
-            raise NormalizationError("zero state cannot be canonicalized")
-        tensors[i] = q.array.reshape(rank, d, b).transpose(1, 0, 2)
+        tensors[i], r = split_leg(tensors[i], 0)
         if i > 0:
-            tensors[i - 1] = np.tensordot(tensors[i - 1], r.array, axes=([2], [0]))
+            tensors[i - 1] = np.tensordot(tensors[i - 1], r, axes=([2], [0]))
         # at i == 0 the 1x1 factor r holds norm and phase; both are dropped
-    out = [DenseTensor(t) for t in tensors]
+    out = [DenseTensor(t.transpose(1, 0, 2)) for t in tensors]
     if math.prod(mps.site_dims) <= DEFAULT_EVAL_CAP:
         vec = eval_obc(MpsObc(out)).array.ravel()
         k = int(np.argmax(np.abs(vec)))

@@ -25,6 +25,7 @@ from .mps_obc import chain_network
 from .tensors import (
     DEFAULT_EVAL_CAP,
     DenseTensor,
+    _rank_from_singulars,
     as_array,
     check_capacity,
     contract_network,
@@ -264,11 +265,8 @@ def _orthonormal_rows(mat: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal basis (as rows) of the row space of mat."""
     if mat.size == 0:
         return mat.reshape(0, mat.shape[1])
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    if s.size == 0 or s[0] <= 0.0:
-        return vh[:0]
-    rank = int(np.count_nonzero(s > max(tol, 1e-12) * s[0]))
-    return vh[:rank]
+    _, s, vh = np.linalg.svd(mat, full_matrices=False)
+    return vh[: _rank_from_singulars(s, max(tol, 1e-12))]
 
 
 def _channel_matrix(kraus: np.ndarray) -> np.ndarray:

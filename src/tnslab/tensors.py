@@ -5,6 +5,11 @@ reduces to four primitives on matrices: contraction, reduced RQ, SVD with a
 relative rank cutoff, and nullspace extraction.  They live here so the rank
 tolerance convention is defined in exactly one place.
 
+`split_leg` cuts one leg of a tensor to the rank of the unfolding (that leg)
+x (all other legs), by a reduced RQ.  Every chain and tree decomposition
+sweep is a sequence of such leg splits, so their bond ranks are all decided
+here.
+
 `contract_network` contracts pairwise in a memoized plan.  Each step of a
 plan stores what `np.tensordot` would derive from the shapes on every call:
 the transposes of both operands, their 2-D shapes and the output shape.  A
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import CapacityError, DimensionMismatchError
+from .errors import CapacityError, DimensionMismatchError, NormalizationError
 
 # Singular values below DEFAULT_TOL * s_max count as zero.
 DEFAULT_TOL = 1e-10
@@ -305,11 +310,7 @@ def reduced_rq(m, tol: float = DEFAULT_TOL) -> tuple[DenseTensor, DenseTensor]:
     mat = _as_matrix(m)
     k, n = mat.shape
     qt, rt, piv = scipy.linalg.qr(mat.conj().T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(rt))
-    if diag.size == 0 or diag[0] <= 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(diag > tol * diag[0]))
+    rank = _rank_from_singulars(np.abs(np.diag(rt)), tol)
     # mat†[:, piv] = qt @ rt, so mat[piv, :] = rt† qt†; undo the row pivot.
     inv = np.argsort(piv)
     r = rt[:rank, :].conj().T[inv, :]
@@ -321,3 +322,20 @@ def reduced_qr(m, tol: float = DEFAULT_TOL) -> tuple[DenseTensor, DenseTensor]:
     """Companion split m = q @ r with q†q = identity, q of shape (k, rank)."""
     r_t, q_t = reduced_rq(as_array(m).conj().T, tol=tol)
     return DenseTensor(q_t.array.conj().T), DenseTensor(r_t.array.conj().T)
+
+
+def split_leg(arr, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cut leg `axis` of a tensor to the rank of the unfolding (that leg) x
+    (all other legs), by a reduced RQ of that unfolding.
+
+    `q` is `arr` with the leg cut to the rank and orthonormal along it; `r`
+    has shape (old extent, rank), and `arr` is `tensordot(q, r, ([axis],
+    [1]))` with the last axis moved back to `axis`.  The neighbour on that
+    leg absorbs `r` by contracting its own leg with `r`'s first axis.  A
+    zero leg raises NormalizationError.
+    """
+    a = np.moveaxis(as_array(arr), axis, 0)
+    r, q = reduced_rq(a.reshape(a.shape[0], math.prod(a.shape[1:])))
+    if q.shape[0] == 0:
+        raise NormalizationError(f"leg {axis} of a zero tensor has rank 0")
+    return np.moveaxis(q.array.reshape(q.shape[:1] + a.shape[1:]), 0, axis), r.array

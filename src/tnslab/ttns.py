@@ -1,8 +1,7 @@
 """Tree tensor network states: evaluation, decomposition of a dense state by
-root-directed RQ sweeps, and the orthonormal (isometric) form."""
+root-directed sweeps of leg splits, and the orthonormal (isometric) form."""
 from __future__ import annotations
 
-import math
 from collections import deque
 
 import numpy as np
@@ -18,8 +17,7 @@ from .tensors import (
     DenseTensor,
     as_array,
     contract_network,
-    reduced_qr,
-    reduced_rq,
+    split_leg,
 )
 
 
@@ -144,7 +142,8 @@ def _visit_order(net: TreeNetwork, root: int, outward: bool) -> list[int]:
 
 
 def from_state_ttns(psi, net: TreeNetwork, root: int) -> Ttns:
-    """Decompose a dense state over the given tree by a leaves-to-root RQ sweep.
+    """Decompose a dense state over the given tree by a leaves-to-root sweep of
+    leg splits.
 
     Realized bond dimensions equal the Schmidt ranks of the edge bipartitions;
     declared bond dims act as capacities (exceeding one raises RankError).
@@ -161,33 +160,24 @@ def from_state_ttns(psi, net: TreeNetwork, root: int) -> Ttns:
     tensors: dict[int, DenseTensor] = {}
     realized: dict[tuple[int, int], int] = {}
     for v in _visit_order(net, root, outward=False):
-        children = sorted(nb for nb in net.neighbors(v) if nb != parent[v])
+        p = parent[v]
+        children = sorted(nb for nb in net.neighbors(v) if nb != p)
         group = [("p", v)] + [("b", _edge_key(v, c)) for c in children]
         idx = [labels.index(g) for g in group]
         rest = [k for k in range(current.ndim) if k not in idx]
-        mat = current.transpose(rest + idx).reshape(
-            math.prod(current.shape[k] for k in rest) if rest else 1,
-            math.prod(current.shape[k] for k in idx),
-        )
-        group_shape = tuple(current.shape[k] for k in idx)
-        r, q = reduced_rq(mat)
-        rank = q.shape[0]
-        if rank == 0:
-            raise NormalizationError("zero state cannot be decomposed")
-        cap_e = net.edge_dim(v, parent[v])
-        if rank > cap_e:
+        cur = current.transpose(rest + idx)
+        q, r = split_leg(cur.reshape((-1,) + cur.shape[len(rest):]), 0)
+        if q.shape[0] > net.edge_dim(v, p):
             raise RankError(
-                f"edge ({v},{parent[v]}) needs bond dimension {rank}, "
-                f"network allows {cap_e}"
+                f"edge ({v},{p}) needs bond dimension {q.shape[0]}, "
+                f"network allows {net.edge_dim(v, p)}"
             )
-        realized[_edge_key(v, parent[v])] = rank
-        qt = q.array.reshape((rank,) + group_shape)
-        # qt axes: (parent bond, physical, child bonds sorted by child id)
-        nbs = net.neighbors(v)
-        perm = [1] + [0 if nb == parent[v] else 2 + children.index(nb) for nb in nbs]
-        tensors[v] = DenseTensor(qt.transpose(perm))
-        current = r.array.reshape(tuple(current.shape[k] for k in rest) + (rank,))
-        labels = [labels[k] for k in rest] + [("b", _edge_key(v, parent[v]))]
+        realized[_edge_key(v, p)] = q.shape[0]
+        # q axes: (parent bond, physical, child bonds sorted by child id)
+        perm = [1] + [0 if nb == p else 2 + children.index(nb) for nb in net.neighbors(v)]
+        tensors[v] = DenseTensor(q.transpose(perm))
+        current = r.reshape(cur.shape[: len(rest)] + r.shape[1:])
+        labels = [labels[k] for k in rest] + [("b", _edge_key(v, p))]
     if net.n == 1:
         tensors[root] = DenseTensor(current.reshape(net.dims[0]))
     else:
@@ -200,10 +190,11 @@ def from_state_ttns(psi, net: TreeNetwork, root: int) -> Ttns:
 def orthonormalize_ttns(t: Ttns, root: int) -> Ttns:
     """Isometric (orthonormal) form with respect to `root`.
 
-    Three sweeps: leaves-to-root RQ, root-to-leaves QR, leaves-to-root RQ.
-    The first makes every subtree map injective, the second does the same for
-    the root sides, so the final sweep lands on exact Schmidt ranks at every
-    edge.  All non-root tensors end up isometric with their root-directed
+    Three sweeps of leg splits: leaves to root, root to leaves, leaves to
+    root.  Each split leaves a tensor orthonormal along the leg it cuts, and
+    the neighbour on that leg absorbs the factor.  The first sweep makes
+    every subtree map injective, the second does the same for the root
+    sides, so the final sweep lands on exact Schmidt ranks at every edge.  All non-root tensors end up isometric with their root-directed
     edge as rows; the root tensor absorbs the remaining norm and phase.
     """
     net = t.network
@@ -215,53 +206,25 @@ def orthonormalize_ttns(t: Ttns, root: int) -> Ttns:
         raise ValueError(f"root {root} must be a leaf")
     parent = net.parents_toward(root)
     arrs = {v: np.asarray(as_array(t.tensor_at(v))) for v in range(1, net.n + 1)}
-    dims: dict[tuple[int, int], int] = {
-        _edge_key(i, j): m for i, j, m in net.edges
-    }
+    dims: dict[tuple[int, int], int] = {}
 
     def axis_of(v: int, nb: int) -> int:
         return 1 + net.neighbors(v).index(nb)
 
-    def rq_toward_root(v: int) -> None:
-        p = parent[v]
-        ax = axis_of(v, p)
-        arr = arrs[v]
-        rest = [k for k in range(arr.ndim) if k != ax]
-        mat = arr.transpose([ax] + rest).reshape(arr.shape[ax], -1)
-        r, q = reduced_rq(mat)
-        rank = q.shape[0]
-        if rank == 0:
-            raise NormalizationError("zero state cannot be orthonormalized")
-        new = q.array.reshape((rank,) + tuple(arr.shape[k] for k in rest))
-        arrs[v] = np.moveaxis(new, 0, ax)
-        pax = axis_of(p, v)
-        upd = np.tensordot(arrs[p], r.array, axes=([pax], [0]))
-        arrs[p] = np.moveaxis(upd, -1, pax)
-        dims[_edge_key(v, p)] = rank
-
-    def qr_toward_child(v: int, c: int) -> None:
-        ax = axis_of(v, c)
-        arr = arrs[v]
-        rest = [k for k in range(arr.ndim) if k != ax]
-        mat = arr.transpose(rest + [ax]).reshape(-1, arr.shape[ax])
-        q, r = reduced_qr(mat)
-        rank = q.shape[1]
-        if rank == 0:
-            raise NormalizationError("zero state cannot be orthonormalized")
-        new = q.array.reshape(tuple(arr.shape[k] for k in rest) + (rank,))
-        arrs[v] = np.moveaxis(new, -1, ax)
-        cax = axis_of(c, v)
-        upd = np.tensordot(arrs[c], r.array, axes=([cax], [1]))
-        arrs[c] = np.moveaxis(upd, -1, cax)
-        dims[_edge_key(v, c)] = rank
+    def toward(v: int, nb: int) -> None:
+        """Split v's leg to nb; nb absorbs the factor."""
+        arrs[v], r = split_leg(arrs[v], axis_of(v, nb))
+        ax = axis_of(nb, v)
+        arrs[nb] = np.moveaxis(np.tensordot(arrs[nb], r, axes=([ax], [0])), -1, ax)
+        dims[_edge_key(v, nb)] = r.shape[1]
 
     for v in _visit_order(net, root, outward=False):
-        rq_toward_root(v)
+        toward(v, parent[v])
     for v in [root] + _visit_order(net, root, outward=True):
         for c in sorted(nb for nb in net.neighbors(v) if nb != parent.get(v)):
-            qr_toward_child(v, c)
+            toward(v, c)
     for v in _visit_order(net, root, outward=False):
-        rq_toward_root(v)
+        toward(v, parent[v])
 
     new_net = net.with_edge_dims(dims)
     return Ttns(new_net, [arrs[v] for v in range(1, net.n + 1)])

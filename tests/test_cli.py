@@ -372,6 +372,22 @@ def test_usage_errors_exit_64(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["construct", "--family", "w", "--n", "3", "--tol", "1e-9"],
+        ["injectivity", "--family", "aklt", "--tol", "1e-9"],
+        ["optimize", "--set", "obc", "--n", "3", "--m", "2", "--budget", "1", "--tol", "1e-9"],
+        ["optimize", "--set", "obc", "--n", "3", "--m", "2", "--budget", "1", "--target", "w"],
+        ["sweep", "--family", "psi_w", "--n", "4", "--eps", "0.1", "--tol", "1e-9"],
+        ["sweep", "--family", "psi_w", "--n", "4", "--eps", "0.1", "--m", "2"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys, args):
+    assert main(args + ["--out", str(tmp_path / "out")]) == 64
+    capsys.readouterr()
+
+
 def test_validation_errors_exit_2(tmp_path, capsys):
     assert main(["certify", "--input", str(tmp_path / "missing.json")]) == 2
     assert main(["construct", "--family", "psi_w", "--n", "4", "--eps", "0"]) == 2
@@ -403,6 +419,11 @@ def test_config_file_supplies_flags(tmp_path, capsys):
         ["construct", "--config", str(cfg), "--n", "3", "--out", str(out_flag)]
     ) == 0
     assert load_state(out_flag).array.size == 8
+
+    # the --config=path form reads the same file
+    out_eq = tmp_path / "from_eq.json"
+    assert main(["construct", f"--config={cfg}", "--out", str(out_eq)]) == 0
+    assert load_state(out_eq).array.size == 16
     capsys.readouterr()
 
 

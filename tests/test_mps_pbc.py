@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from tnslab import mps_pbc
 from tnslab.errors import NormalizationError
 from tnslab.mps_pbc import (
     MpsPbc,
@@ -231,6 +232,57 @@ class TestCanonicalBlocks:
         out = eval_pbc(ti_mps(blocks.tensor().array, n)).array
         ref = eval_pbc(ti_mps(a, n)).array
         assert fidelity(out, ref) > 1 - 1e-8
+
+    @pytest.mark.parametrize(
+        "a, branch, weights",
+        [
+            # a Jordan block: the unit-eigenvalue projector is not a fixed
+            # point, so the positive fixed point comes from the basis search
+            (
+                [[[1, 1], [0, 1]], [[0, 0], [0, 0]]],
+                "basis search",
+                (1.0, 1.0),
+            ),
+            # the channel's support is not invariant, so the split is made on
+            # the adjoint side
+            (
+                [[[1, 0], [1, 0.5]], [[0, 0], [0.3, 0.2]]],
+                "adjoint split",
+                (1.0, 0.538516),
+            ),
+        ],
+    )
+    def test_fallback_branches_reproduce_the_state(self, monkeypatch, a, branch, weights):
+        reached = set()
+        projector = mps_pbc._cluster_projector_on_identity
+        recurse = mps_pbc._recurse_triangular
+
+        def spy_projector(*args, **kwargs):
+            x = projector(*args, **kwargs)
+            if x is None:
+                reached.add("basis search")
+            return x
+
+        def spy_recurse(*args, lower_left_zero, **kwargs):
+            if not lower_left_zero:
+                reached.add("adjoint split")
+            return recurse(*args, lower_left_zero=lower_left_zero, **kwargs)
+
+        monkeypatch.setattr(mps_pbc, "_cluster_projector_on_identity", spy_projector)
+        monkeypatch.setattr(mps_pbc, "_recurse_triangular", spy_recurse)
+        a = np.array(a, dtype=complex)
+        blocks = ti_canonical_blocks(a)
+        assert branch in reached
+        assert blocks.block_dims == (1, 1)
+        assert tuple(alpha for alpha, _ in blocks.blocks) == pytest.approx(weights, abs=1e-6)
+        for _, t in blocks.blocks:
+            arr = t.array
+            gram = sum(arr[s] @ arr[s].conj().T for s in range(arr.shape[0]))
+            assert np.abs(gram - np.eye(arr.shape[1])).max() < 1e-12
+        for n in range(2, 7):
+            out = eval_pbc(ti_mps(blocks.tensor().array, n)).array
+            ref = eval_pbc(ti_mps(a, n)).array
+            assert fidelity(out, ref) > 1 - 1e-12
 
 
 def test_trace_consistency_between_eval_and_transfer():

@@ -1,10 +1,12 @@
 """Tests for the dense-tensor kernels: contraction, SVD ranks, RQ/QR splits."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tnslab.errors import CapacityError, DimensionMismatchError
+from tnslab.errors import CapacityError, DimensionMismatchError, NormalizationError
 from tnslab.tensors import (
     DEFAULT_CAPACITY_CAP,
     DenseTensor,
@@ -15,6 +17,7 @@ from tnslab.tensors import (
     nullspace,
     reduced_qr,
     reduced_rq,
+    split_leg,
     svd,
 )
 
@@ -124,6 +127,41 @@ def test_zero_matrix_rq_has_rank_zero():
     r, q = reduced_rq(np.zeros((3, 4)))
     assert q.shape == (0, 4)
     assert r.shape == (3, 0)
+
+
+@given(
+    shape=st.lists(st.integers(min_value=1, max_value=4), min_size=2, max_size=4),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_split_leg_cuts_a_leg_to_the_rank_of_its_unfolding(shape, data):
+    axis = data.draw(st.integers(min_value=0, max_value=len(shape) - 1))
+    others = shape[:axis] + shape[axis + 1 :]
+    rank = data.draw(st.integers(min_value=1, max_value=min(shape[axis], math.prod(others))))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=10**6)))
+
+    def isometry(rows):
+        g = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+        return np.linalg.qr(g)[0]
+
+    # singular values in [0.5, 1] and then exact zeros: a clear gap
+    s = rng.uniform(0.5, 1.0, rank)
+    unfolding = (isometry(shape[axis]) * s) @ isometry(math.prod(others)).conj().T
+    arr = np.moveaxis(unfolding.reshape([shape[axis]] + others), 0, axis)
+    q, r = split_leg(arr, axis)
+    cut = q.shape[axis]
+    assert cut == matrix_rank(unfolding) == rank
+    assert q.shape == tuple(shape[:axis] + [cut] + shape[axis + 1 :])
+    assert r.shape == (shape[axis], cut)
+    rows = np.moveaxis(q, axis, 0).reshape(cut, -1)
+    assert np.abs(rows @ rows.conj().T - np.eye(cut)).max() < 1e-12
+    rebuilt = np.moveaxis(np.tensordot(q, r, axes=([axis], [1])), -1, axis)
+    assert np.abs(rebuilt - arr).max() < 1e-12
+
+
+def test_split_leg_of_a_zero_tensor_raises():
+    with pytest.raises(NormalizationError):
+        split_leg(np.zeros((2, 3, 2)), 1)
 
 
 def test_check_capacity_raises_over_cap():
