@@ -35,7 +35,15 @@ from .mps_pbc import (
 )
 from .optimize import TraceRecord, distance_objective, energy_objective, run_experiment
 from .serialize import load_state, save_state
-from .tensors import DenseTensor, as_array, contract_network
+from .tensors import (
+    BLOCK_TOL,
+    DECADE_TOL,
+    DEFAULT_DIVERGENCE,
+    DEFAULT_TOL,
+    DenseTensor,
+    as_array,
+    contract_network,
+)
 from .zoo import (
     aklt_tensor,
     blbq_hamiltonian,
@@ -183,7 +191,7 @@ def _check_isometry(state, tol):
 def _cmd_certify(ns) -> int:
     _need(ns, "input")
     state = load_state(ns.input)
-    tol = ns.tol if ns.tol is not None else 1e-10
+    tol = ns.tol if ns.tol is not None else DEFAULT_TOL
     names = [c.strip() for c in (ns.checks or "wellformed").split(",") if c.strip()]
     rows = []
     all_ok = True
@@ -220,7 +228,7 @@ def _cmd_schmidt(ns) -> int:
         if d ** n != vec.size:
             raise ValueError("state size is not a power of --d; pass --dims")
         dims = [d] * n
-    tol = ns.tol if ns.tol is not None else 1e-10
+    tol = ns.tol if ns.tol is not None else DEFAULT_TOL
     if ns.cut is not None:
         profile = [schmidt(vec, dims, ns.cut, tol)]
     else:
@@ -260,7 +268,7 @@ def _cmd_injectivity(ns) -> int:
     gram = sum(a[s] @ a[s].conj().T for s in range(d))
     scale = float(np.trace(gram).real) / m
     primitive = None
-    if scale > 0 and np.abs(gram - scale * np.eye(m)).max() <= 1e-8 * scale:
+    if scale > 0 and np.abs(gram - scale * np.eye(m)).max() <= BLOCK_TOL * scale:
         primitive = is_primitive(a / math.sqrt(scale))
     rows = [
         (
@@ -280,7 +288,7 @@ def _cmd_injectivity(ns) -> int:
 
 def _cmd_geometry(ns) -> int:
     _need(ns, "state", "n", "m")
-    tol = ns.tol if ns.tol is not None else 1e-10
+    tol = ns.tol if ns.tol is not None else DEFAULT_TOL
     rep = geometry_report(ns.state, ns.n, ns.m, tol=tol, seed=ns.seed or 0)
     rows = [(ns.state, ns.n, ns.m, rep.predicted, rep.measured, rep.match)]
     _write_csv(ns.out, ["state", "N", "m", "predicted", "measured", "match"], rows)
@@ -355,7 +363,7 @@ def _cmd_optimize(ns) -> int:
     rng = np.random.default_rng(ns.seed or 0)
     init = _initial_params(ns, rng)
     budget = ns.budget or 100
-    threshold = ns.divergence_threshold if ns.divergence_threshold is not None else 1e6
+    threshold = DEFAULT_DIVERGENCE if ns.divergence_threshold is None else ns.divergence_threshold
     trace = run_experiment(obj, init, budget, threshold)
     header = [f.name for f in fields(TraceRecord)]  # one column per record field
     rows = []
@@ -376,7 +384,7 @@ def _parse_grid(text: str) -> list[float]:
         e1 = math.log10(float(lo_s))
         e2 = math.log10(float(hi_s))
         for e in (e1, e2):
-            if abs(e - round(e)) > 1e-9:
+            if abs(e - round(e)) > DECADE_TOL:
                 raise ValueError("decade grids need power-of-ten endpoints")
         e1, e2 = round(e1), round(e2)
         step = 1 if e2 >= e1 else -1

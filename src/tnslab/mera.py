@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .tensors import DEFAULT_EVAL_CAP, DenseTensor, as_array, check_capacity
+from .tensors import DEFAULT_EVAL_CAP, DEFAULT_TOL, DenseTensor, as_array, check_capacity
 
 TensorId = tuple
 
@@ -150,7 +150,7 @@ class IsometryReport:
     passed: bool
 
 
-def validate_isometries(mera: Mera, tol: float = 1e-10) -> IsometryReport:
+def validate_isometries(mera: Mera, tol: float = DEFAULT_TOL) -> IsometryReport:
     """Max-norm residual of sum_s A^s A^s+ - identity for every tensor."""
     residuals: dict = {}
     for tid in mera.all_tensor_ids():

@@ -10,17 +10,18 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InvertibilityError,
-    NormalizationError,
     RankError,
 )
 from .tensors import (
     DEFAULT_EVAL_CAP,
     DEFAULT_TOL,
+    GAUGE_COND_MAX,
     WORKING_TOL,
     DenseTensor,
     _rank_from_singulars,
     as_array,
     check_capacity,
+    check_normalized,
     contract_network,
     split_leg,
 )
@@ -114,9 +115,7 @@ def from_state_obc(psi, dims, max_bond: int | None = None) -> MpsObc:
     """
     dims = [int(d) for d in dims]
     arr = as_array(psi).reshape(tuple(dims))
-    nrm = float(np.linalg.norm(arr))
-    if abs(nrm - 1.0) > 1e-8:
-        raise NormalizationError(f"state norm {nrm!r} differs from 1 by more than 1e-8")
+    check_normalized(arr)
     n = len(dims)
     tensors: list[DenseTensor | None] = [None] * n
     mat = arr.reshape(-1, 1)
@@ -217,7 +216,7 @@ def gauge_transform(mps: MpsObc, bond: int, z) -> MpsObc:
             f"gauge matrix shape {zm.shape} does not match bond dimension {m}"
         )
     cond = np.linalg.cond(zm)
-    if not np.isfinite(cond) or cond >= 1e8:
+    if not np.isfinite(cond) or cond >= GAUGE_COND_MAX:
         raise InvertibilityError(
             f"gauge matrix condition number {cond!r} is too large to invert safely"
         )

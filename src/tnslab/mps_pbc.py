@@ -23,17 +23,21 @@ from .errors import (
 )
 from .mps_obc import chain_network
 from .tensors import (
+    BASIS_TOL,
+    BLOCK_TOL,
+    CLUSTER_TOL,
     DEFAULT_EVAL_CAP,
+    INVARIANT_TOL,
+    NILPOTENT_TOL,
+    NOISE_TOL,
+    PROJECTION_TOL,
+    TRACELESS_TOL,
     DenseTensor,
     _rank_from_singulars,
     as_array,
     check_capacity,
     contract_network,
 )
-
-# Relative tolerance for clustering eigenvalue magnitudes and deciding
-# fixed-point ranks inside the canonical decomposition.
-BLOCK_TOL = 1e-8
 
 
 class MpsPbc:
@@ -130,6 +134,7 @@ def transfer_matrix(a) -> DenseTensor:
 def transfer_array(a: np.ndarray) -> np.ndarray:
     """sum_s conj(A^s) (x) A^s for a (d, ml, mr) array, as an ml^2 x mr^2 array."""
     _, ml, mr = a.shape
+    check_capacity(ml * ml * mr * mr, what="transfer matrix")
     a = np.asarray(a, dtype=np.complex128)
     return np.einsum("sab,scd->acbd", a.conj(), a).reshape(ml * ml, mr * mr)
 
@@ -154,7 +159,7 @@ def wielandt_bound(m: int) -> int:
     return math.ceil(2 * m * m * (6 + math.log2(m)))
 
 
-def span_dimensions(a, ell_max: int, tol: float = BLOCK_TOL) -> list[int]:
+def span_dimensions(a, ell_max: int) -> list[int]:
     """Dimension of span{A^s1 ... A^sl} for l = 1..ell_max.
 
     The span is tracked through an orthonormal basis of at most m^2 matrices,
@@ -163,22 +168,18 @@ def span_dimensions(a, ell_max: int, tol: float = BLOCK_TOL) -> list[int]:
     """
     arr = _as_site_tensor(a)
     d, m, _ = arr.shape
-    basis = _orthonormal_rows(arr.reshape(d, m * m), tol)
+    basis = _orthonormal_rows(arr.reshape(d, m * m))
     dims = [basis.shape[0]]
     for _ in range(1, ell_max):
         if basis.shape[0] == 0:
             dims.append(0)
             continue
         cand = np.einsum("sab,kbc->skac", arr, basis.reshape(-1, m, m))
-        new = _orthonormal_rows(cand.reshape(-1, m * m), tol)
+        new = _orthonormal_rows(cand.reshape(-1, m * m))
         if new.shape[0] == basis.shape[0]:
             # possible stabilization: same span iff old basis lies in new span
             proj = new.conj() @ basis.reshape(-1, m * m).T
-            if np.allclose(
-                basis.reshape(-1, m * m),
-                proj.T @ new,
-                atol=1e-12,
-            ):
+            if np.allclose(basis.reshape(-1, m * m), proj.T @ new, atol=NOISE_TOL):
                 dims.extend([new.shape[0]] * (ell_max - len(dims)))
                 basis = new
                 break
@@ -199,13 +200,13 @@ def injectivity_length(a, ell_max: int) -> int | None:
     return None
 
 
-def is_primitive(a, tol: float = BLOCK_TOL) -> bool:
+def is_primitive(a) -> bool:
     """True iff the transfer channel of an isometric tensor has a unique
     top-magnitude eigenvalue whose Hermitized fixed point is positive definite."""
     arr = _as_site_tensor(a)
     d, m, _ = arr.shape
     iso = sum(arr[s] @ arr[s].conj().T for s in range(d)) - np.eye(m)
-    if np.abs(iso).max() > max(tol, 1e-8):
+    if np.abs(iso).max() > BLOCK_TOL:
         raise ValueError("is_primitive requires an (approximately) isometric tensor")
     kmat = _channel_matrix(arr)
     vals, vecs = np.linalg.eig(kmat)
@@ -213,21 +214,21 @@ def is_primitive(a, tol: float = BLOCK_TOL) -> bool:
     rho = mags.max()
     if rho <= 0.0:
         return False
-    top = np.flatnonzero(mags >= rho * (1.0 - tol))
+    top = np.flatnonzero(mags >= rho * (1.0 - BLOCK_TOL))
     if top.size != 1:
         return False
     x = vecs[:, top[0]].reshape(m, m)
     ph = np.trace(x)
-    if abs(ph) > 1e-12:
+    if abs(ph) > NOISE_TOL:
         x = x * (ph.conjugate() / abs(ph))
     h = (x + x.conj().T) / 2.0
     w = np.linalg.eigvalsh(h)
     if abs(w[0]) > w[-1]:
         w = -w[::-1]
-    return bool(w[0] > tol * w[-1])
+    return bool(w[0] > BLOCK_TOL * w[-1])
 
 
-def ti_canonical_blocks(a, tol: float = BLOCK_TOL) -> CanonicalBlocks:
+def ti_canonical_blocks(a) -> CanonicalBlocks:
     """Canonical block decomposition of a translation-invariant MPS tensor.
 
     Returns weights alpha_j (max-normalized into (0,1]), isometric block
@@ -236,7 +237,7 @@ def ti_canonical_blocks(a, tol: float = BLOCK_TOL) -> CanonicalBlocks:
     """
     arr = _as_site_tensor(a)
     found: list[tuple[float, np.ndarray, np.ndarray]] = []
-    _decompose(arr, 1.0, found, tol)
+    _decompose(arr, 1.0, found)
     if not found:
         raise NormalizationError("tensor generates only the zero state")
     found.sort(key=lambda item: (-item[0], -item[1].shape[1]))
@@ -261,12 +262,12 @@ def _as_site_tensor(a) -> np.ndarray:
     return arr
 
 
-def _orthonormal_rows(mat: np.ndarray, tol: float) -> np.ndarray:
+def _orthonormal_rows(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis (as rows) of the row space of mat."""
     if mat.size == 0:
         return mat.reshape(0, mat.shape[1])
     _, s, vh = np.linalg.svd(mat, full_matrices=False)
-    return vh[: _rank_from_singulars(s, max(tol, 1e-12))]
+    return vh[: _rank_from_singulars(s, BLOCK_TOL)]
 
 
 def _channel_matrix(kraus: np.ndarray) -> np.ndarray:
@@ -274,15 +275,10 @@ def _channel_matrix(kraus: np.ndarray) -> np.ndarray:
     return transfer_array(kraus).conj()
 
 
-def _hermitian_fixed_basis(kmat: np.ndarray, m: int, tol: float) -> list[np.ndarray]:
+def _hermitian_fixed_basis(kmat: np.ndarray, m: int) -> list[np.ndarray]:
     """Orthonormal Hermitian basis of the fixed-point space of the channel."""
-    delta = kmat - np.eye(m * m)
-    u, s, vh = np.linalg.svd(delta)
-    if s.size and s[0] > 0.0:
-        rank = int(np.count_nonzero(s > tol))
-    else:
-        rank = 0
-    cols = vh[rank:].conj().T
+    _, s, vh = np.linalg.svd(kmat - np.eye(m * m))
+    cols = vh[np.count_nonzero(s > BLOCK_TOL):].conj().T
     basis: list[np.ndarray] = []
     for k in range(cols.shape[1]):
         x = cols[:, k].reshape(m, m)
@@ -291,16 +287,13 @@ def _hermitian_fixed_basis(kmat: np.ndarray, m: int, tol: float) -> list[np.ndar
             for g in basis:
                 h = h - np.real(np.trace(g.conj().T @ h)) * g
             nrm = np.linalg.norm(h)
-            if nrm > 1e-6:
+            if nrm > BASIS_TOL:
                 basis.append(h / nrm)
     return basis
 
 
-def _positive_fixed_point(
-    kraus: np.ndarray, kmat: np.ndarray, basis: list[np.ndarray], tol: float
-) -> np.ndarray:
+def _positive_fixed_point(kmat: np.ndarray, m: int, basis: list[np.ndarray]) -> np.ndarray:
     """A positive-semidefinite fixed point with maximal support."""
-    m = kraus.shape[1]
     if not basis:
         raise DegeneracyError(
             "no fixed point found within tolerance; spectrum too ambiguous"
@@ -311,12 +304,12 @@ def _positive_fixed_point(
         if abs(w[0]) > abs(w[-1]):
             h = -h
             w = -w[::-1]
-        if w[0] < -tol * max(w[-1], 0.0):
+        if w[0] < -BLOCK_TOL * max(w[-1], 0.0):
             raise DegeneracyError(
                 "unique fixed point is indefinite; cannot orient a positive one"
             )
         return h
-    x = _cluster_projector_on_identity(kmat, m, tol)
+    x = _cluster_projector_on_identity(kmat, m)
     if x is not None:
         return x
     # fall back: some basis element may already be (semi)definite
@@ -325,8 +318,8 @@ def _positive_fixed_point(
     for h in basis:
         w = np.linalg.eigvalsh(h)
         for cand, wc in ((h, w), (-h, -w[::-1])):
-            if wc[0] >= -tol * max(wc[-1], 0.0):
-                rank = int(np.count_nonzero(wc > tol * wc[-1]))
+            if wc[0] >= -BLOCK_TOL * max(wc[-1], 0.0):
+                rank = int(np.count_nonzero(wc > BLOCK_TOL * wc[-1]))
                 if rank > best_rank:
                     best, best_rank = cand, rank
     if best is None:
@@ -336,9 +329,7 @@ def _positive_fixed_point(
     return best
 
 
-def _cluster_projector_on_identity(
-    kmat: np.ndarray, m: int, tol: float
-) -> np.ndarray | None:
+def _cluster_projector_on_identity(kmat: np.ndarray, m: int) -> np.ndarray | None:
     """Spectral projector of the unit-eigenvalue cluster applied to identity.
 
     Returns None when the projected matrix fails to be a genuine positive
@@ -347,7 +338,7 @@ def _cluster_projector_on_identity(
     n = m * m
     try:
         t, z, sdim = scipy.linalg.schur(
-            kmat, output="complex", sort=lambda lam: bool(abs(lam - 1.0) < 100 * tol)
+            kmat, output="complex", sort=lambda lam: bool(abs(lam - 1.0) < CLUSTER_TOL)
         )
     except scipy.linalg.LinAlgError:
         return None
@@ -368,25 +359,25 @@ def _cluster_projector_on_identity(
     x = (proj @ np.eye(m).reshape(-1)).reshape(m, m)
     x = (x + x.conj().T) / 2.0
     nrm = np.linalg.norm(x)
-    if nrm < 1e-10:
+    if nrm < PROJECTION_TOL:
         return None
     x = x / nrm
     # verify it is really fixed and really positive
     resid = np.linalg.norm((kmat @ x.reshape(-1)).reshape(m, m) - x)
-    if resid > 100 * tol:
+    if resid > CLUSTER_TOL:
         return None
     w = np.linalg.eigvalsh(x)
-    if w[0] < -100 * tol * w[-1]:
+    if w[0] < -CLUSTER_TOL * w[-1]:
         return None
     return x
 
 
-def _support_split(x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray] | None:
+def _support_split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Split eigenbasis of a PSD matrix into (support, kernel) column blocks."""
     w, u = np.linalg.eigh(x)
     if w[-1] <= 0.0:
         return None
-    keep = w > tol * w[-1]
+    keep = w > BLOCK_TOL * w[-1]
     rank = int(np.count_nonzero(keep))
     if rank == 0 or rank == x.shape[0]:
         return None
@@ -395,13 +386,11 @@ def _support_split(x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray] |
     return u[:, :rank], u[:, rank:]
 
 
-def _decompose(
-    kraus: np.ndarray, scale: float, found: list, tol: float
-) -> None:
+def _decompose(kraus: np.ndarray, scale: float, found: list) -> None:
     d, m, _ = kraus.shape
     kmat = _channel_matrix(kraus)
     rho = float(np.abs(np.linalg.eigvals(kmat)).max()) if m > 0 else 0.0
-    if rho <= 1e-14:
+    if rho <= NILPOTENT_TOL:
         # nilpotent piece: contributes nothing to any trace for large N
         return
     sq = math.sqrt(rho)
@@ -409,12 +398,11 @@ def _decompose(
     kmat = kmat / rho
     scale = scale * sq
 
-    basis = _hermitian_fixed_basis(kmat, m, tol)
-    x = _positive_fixed_point(kraus, kmat, basis, tol)
-    split = _support_split(x, tol)
+    x = _positive_fixed_point(kmat, m, _hermitian_fixed_basis(kmat, m))
+    split = _support_split(x)
     if split is not None:
         usup, uker = split
-        _recurse_triangular(kraus, usup, uker, scale, found, tol, lower_left_zero=True)
+        _recurse_triangular(kraus, usup, uker, scale, found, lower_left_zero=True)
         return
 
     # full support: gauge the channel to a unital one
@@ -425,21 +413,18 @@ def _decompose(
 
     adj = np.conj(np.transpose(unital, (0, 2, 1)))
     kmat_adj = _channel_matrix(adj)
-    basis_adj = _hermitian_fixed_basis(kmat_adj, m, tol)
-    lam = _positive_fixed_point(adj, kmat_adj, basis_adj, tol)
-    lsplit = _support_split(lam, tol)
+    lam = _positive_fixed_point(kmat_adj, m, _hermitian_fixed_basis(kmat_adj, m))
+    lsplit = _support_split(lam)
     if lsplit is not None:
         usup, uker = lsplit
-        _recurse_triangular(
-            unital, usup, uker, scale, found, tol, lower_left_zero=False
-        )
+        _recurse_triangular(unital, usup, uker, scale, found, lower_left_zero=False)
         return
 
     kmat_unital = _channel_matrix(unital)
-    basis_unital = _hermitian_fixed_basis(kmat_unital, m, tol)
+    basis_unital = _hermitian_fixed_basis(kmat_unital, m)
     if len(basis_unital) > 1:
-        for sub in _commutant_split(unital, basis_unital, tol):
-            _decompose(sub, scale, found, tol)
+        for sub in _commutant_split(unital, basis_unital):
+            _decompose(sub, scale, found)
         return
 
     # irreducible block: rotate the adjoint fixed point to descending diagonal
@@ -457,7 +442,6 @@ def _recurse_triangular(
     uker: np.ndarray,
     scale: float,
     found: list,
-    tol: float,
     lower_left_zero: bool,
 ) -> None:
     """Recurse on the two diagonal blocks of a block-triangular Kraus family.
@@ -472,56 +456,38 @@ def _recurse_triangular(
     r = usup.shape[1]
     off = rot[:, r:, :r] if lower_left_zero else rot[:, :r, r:]
     size = max(np.abs(rot).max(), 1.0)
-    if np.abs(off).max() > 1e4 * tol * size:
+    if np.abs(off).max() > INVARIANT_TOL * size:
         raise DegeneracyError(
             "fixed-point support is not an invariant subspace within tolerance"
         )
-    _decompose(rot[:, :r, :r], scale, found, tol)
-    _decompose(rot[:, r:, r:], scale, found, tol)
+    _decompose(rot[:, :r, :r], scale, found)
+    _decompose(rot[:, r:, r:], scale, found)
 
 
-def _commutant_split(
-    kraus: np.ndarray, basis: list[np.ndarray], tol: float
-) -> list[np.ndarray]:
+def _commutant_split(kraus: np.ndarray, basis: list[np.ndarray]) -> list[np.ndarray]:
     """Split a unital channel with degenerate fixed space along a second
     Hermitian fixed point, which must commute with every Kraus operator."""
     m = kraus.shape[1]
-    eye = np.eye(m) / math.sqrt(m)
-    best: np.ndarray | None = None
-    best_norm = 0.0
-    for g in basis:
-        y = g - np.trace(g) / m * np.eye(m)
-        nrm = np.linalg.norm(y)
-        if nrm > best_norm:
-            best, best_norm = y, nrm
-    if best is None or best_norm < 1e-7:
+    traceless = [g - np.trace(g) / m * np.eye(m) for g in basis]
+    norms = [np.linalg.norm(y) for y in traceless]
+    k = int(np.argmax(norms))
+    if norms[k] < TRACELESS_TOL:
         raise DegeneracyError(
             "degenerate fixed space but no independent fixed point to split on"
         )
-    y = best / best_norm
-    w, u = np.linalg.eigh(y)
-    spread = w[-1] - w[0]
-    # cluster eigenvalues; a gap below tolerance is an ambiguous split
-    groups: list[list[int]] = [[0]]
-    for i in range(1, m):
-        if w[i] - w[i - 1] > max(100 * tol, 1e-6) * spread:
-            groups.append([i])
-        else:
-            groups[-1].append(i)
-    if len(groups) < 2:
+    w, u = np.linalg.eigh(traceless[k] / norms[k])
+    # eigenvalue clusters end at gaps above CLUSTER_TOL * spread; none is ambiguous
+    cuts = np.flatnonzero(np.diff(w) > CLUSTER_TOL * (w[-1] - w[0])) + 1
+    if not cuts.size:
         raise DegeneracyError(
             "eigenvalue clusters of the splitting fixed point are unresolved"
         )
     rot = np.einsum("ab,sbc,cd->sad", u.conj().T, kraus, u)
-    bounds = []
-    at = 0
-    for grp in groups:
-        bounds.append((at, at + len(grp)))
-        at += len(grp)
+    bounds = list(zip([0, *cuts], [*cuts, m]))
     size = max(np.abs(rot).max(), 1.0)
     for gi, (a0, a1) in enumerate(bounds):
         for gj, (b0, b1) in enumerate(bounds):
-            if gi != gj and np.abs(rot[:, a0:a1, b0:b1]).max() > 1e4 * tol * size:
+            if gi != gj and np.abs(rot[:, a0:a1, b0:b1]).max() > INVARIANT_TOL * size:
                 raise DegeneracyError(
                     "splitting fixed point does not commute with the tensor "
                     "within tolerance"

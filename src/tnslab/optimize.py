@@ -20,6 +20,11 @@ from .errors import NormalizationError, TnsError
 from .mps_obc import MpsObc, chain_network
 from .mps_pbc import MpsPbc, transfer_array
 from .tensors import (
+    DEFAULT_DIVERGENCE,
+    GRAM_TOL,
+    OBJECTIVE_INPUT_TOL,
+    SCREEN_TOL,
+    SWEEP_TOL,
     DenseTensor,
     as_array,
     capacity_cap,
@@ -28,20 +33,7 @@ from .tensors import (
     site_environment,
 )
 
-# A step's Gram matrix E^dag E is formed in working precision, so its
-# eigenvalues carry an absolute error near 1e-16 times the largest; those at
-# or below GRAM_TOL times the largest count as zero, four decades above that.
-GRAM_TOL = 1e-12
-SWEEP_TOL = 1e-10
-DEFAULT_DIVERGENCE = 1e6
 _BACKTRACK_STEPS = 21  # t = 1, 1/2, ..., 2^-20
-# A line-search trial is skipped only when its closed-form f_reg (see
-# `_screen`) exceeds the value to beat by more than SCREEN_TOL times the
-# sizes of the terms summed for it.  The screen and a direct evaluation both
-# round at about 1e-16 times those sizes, so a skipped trial is one the
-# direct evaluation rejects, with seven decades to spare for what
-# cancellation in the products with E, H and the transfer environments adds.
-SCREEN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -68,7 +60,7 @@ class Objective:
             if self.target is None:
                 raise ValueError("distance objective needs a target")
             vec = np.asarray(as_array(self.target)).ravel()
-            if abs(np.linalg.norm(vec) - 1.0) > 1e-10:
+            if abs(np.linalg.norm(vec) - 1.0) > OBJECTIVE_INPUT_TOL:
                 raise NormalizationError("target must be normalized within 1e-10")
         else:
             if self.hamiltonian is None:
@@ -76,7 +68,7 @@ class Objective:
             h = np.asarray(as_array(self.hamiltonian))
             if h.ndim != 2 or h.shape[0] != h.shape[1]:
                 raise ValueError("hamiltonian must be a square matrix")
-            if np.max(np.abs(h - h.conj().T)) > 1e-10:
+            if np.max(np.abs(h - h.conj().T)) > OBJECTIVE_INPUT_TOL:
                 raise ValueError("hamiltonian must be Hermitian within 1e-10")
         if self.reg_kind not in ("none", "tensor_norm", "transfer_product"):
             raise ValueError(f"unknown regularization {self.reg_kind!r}")
@@ -498,7 +490,6 @@ def _sweep(obj: Objective, params: _Point, freg: float):
         block = a.transpose(1, 0, 2).reshape(ml * d, mr) @ right.reshape(mr, -1)
         rights.append(block.reshape(ml, -1, m0))
         if transfer:
-            check_capacity(ml * ml * m0 * m0, cap, "right transfer environment")
             trights.append(transfer_array(a) @ trights[-1])
     rights.reverse()
     trights.reverse()
@@ -528,7 +519,6 @@ def _sweep(obj: Objective, params: _Point, freg: float):
         block = left.reshape(-1, ml) @ a.transpose(1, 0, 2).reshape(ml, d * mr)
         left = block.reshape(m0, -1, mr)
         if transfer:
-            check_capacity(m0 * m0 * mr * mr, cap, "left transfer environment")
             tleft = tleft @ transfer_array(a)
         elif norms:
             terms[site - 1] = lams[site - 1] * np.linalg.norm(a) ** 2

@@ -2,8 +2,14 @@
 
 Everything downstream (MPS conversions, canonical forms, rank certification)
 reduces to four primitives on matrices: contraction, reduced RQ, SVD with a
-relative rank cutoff, and nullspace extraction.  They live here so the rank
-tolerance convention is defined in exactly one place.
+relative rank cutoff, and nullspace extraction.
+
+The tolerance block below is the one place where the library's tolerances
+are defined: rank cuts, canonical-block tolerances, input checks and
+optimizer stopping rules, each with its reason, beside the two dense
+capacity caps.  Other modules import these names and write no tolerance as a
+number; only problem-size limits (`zoo.MAX_SPIN_CHAIN`,
+`geometry.MAX_*_PARAMS`) stay beside the code they limit.
 
 `split_leg` cuts one leg of a tensor to the rank of the unfolding (that leg)
 x (all other legs), by a reduced RQ.  Every chain and tree decomposition
@@ -29,22 +35,32 @@ import scipy.linalg
 
 from .errors import CapacityError, DimensionMismatchError, NormalizationError
 
-# Singular values below DEFAULT_TOL * s_max count as zero.
-DEFAULT_TOL = 1e-10
-
-# Singular values at or below WORKING_TOL * s_max count as rounding noise
-# where a sweep compresses a matrix (`mps_obc.schmidt_profile`).  A
-# double-precision SVD is accurate to about 1e-16 * s_max, and dropping
-# values this small moves later spectra by about 1e-14 of the norm, four
-# decades below the DEFAULT_TOL rank threshold.
-WORKING_TOL = 1e-14
-
-# Hard cap on dense intermediates (entries, not bytes); the environment
-# variable TNS_CAPACITY_CAP overrides it.
-DEFAULT_CAPACITY_CAP = 2**24
-
-# Default cap for materializing a full state vector.
-DEFAULT_EVAL_CAP = 2**20
+# ---------------------------------------------------------------------------
+# Tolerances and caps: every tolerance of the library is named here, once,
+# with its reason.  Rounding in double precision is about 1e-16 of the
+# largest value involved; a relative cut compares with that largest value.
+DEFAULT_TOL = 1e-10  # rank cut on singular values, relative: six decades above rounding
+WORKING_TOL = 1e-14  # compressing sweeps drop singular values this small; spectra move 1e-14
+GRAM_TOL = 1e-12  # E^dag E eigenvalue cut, relative: forming it rounds at 1e-16 of the largest
+BLOCK_TOL = 1e-8  # canonical blocks: a defective channel eigenvalue is accurate to sqrt(1e-16)
+CLUSTER_TOL = 100 * BLOCK_TOL  # unit-eigenvalue cluster: slack for the Schur and Sylvester steps
+INVARIANT_TOL = 1e4 * BLOCK_TOL  # off-block entries, relative: eigenvectors blur over small gaps
+BASIS_TOL = 1e-6  # a smaller Hermitian part is noise of a null vector cut at BLOCK_TOL
+TRACELESS_TOL = 1e-7  # a unit fixed point this near a multiple of 1 splits nothing: BLOCK_TOL noise
+PROJECTION_TOL = 1e-10  # the cluster's projection of 1 (norm sqrt(m)) is zero below: a rank cut
+NILPOTENT_TOL = 1e-14  # a channel of no larger spectral radius adds nothing to long rings
+NOISE_TOL = 1e-12  # norms and differences of unit vectors at most this are rounding noise
+STATE_NORM_TOL = 1e-8  # catches a state never normalized, passes any normalized one
+OBJECTIVE_INPUT_TOL = 1e-10  # a target's norm and a Hamiltonian's Hermiticity are meant exact
+SWEEP_TOL = 1e-10  # f_reg change of a converged sweep, and the largest rise a run tolerates
+# `optimize._screen` skips a trial only past this times the summed terms' sizes: both sides round
+# at 1e-16 of those sizes, leaving seven decades for cancellation.
+SCREEN_TOL = 1e-9
+DEFAULT_DIVERGENCE = 1e6  # an entry six decades above a normalized start's unit scale
+GAUGE_COND_MAX = 1e8  # inverting a gauge matrix this ill-conditioned loses half the digits
+DECADE_TOL = 1e-9  # log10 of a float power of ten is an integer to about 1e-15
+DEFAULT_CAPACITY_CAP = 2**24  # dense intermediates, 256 MiB; TNS_CAPACITY_CAP overrides it
+DEFAULT_EVAL_CAP = 2**20  # a full state vector, 16 MiB, unless a caller passes its own cap
 
 
 def capacity_cap() -> int:
@@ -58,6 +74,13 @@ def check_capacity(size: int, cap: int | None = None, what: str = "tensor") -> N
         cap = capacity_cap()
     if size > cap:
         raise CapacityError(f"{what} with {size} entries exceeds cap of {cap}")
+
+
+def check_normalized(arr: np.ndarray) -> None:
+    """Raise NormalizationError unless a state has norm 1 within STATE_NORM_TOL."""
+    nrm = float(np.linalg.norm(arr))
+    if abs(nrm - 1.0) > STATE_NORM_TOL:
+        raise NormalizationError(f"state norm {nrm!r} differs from 1 by more than 1e-8")
 
 
 class DenseTensor:
@@ -271,11 +294,11 @@ def site_matrix(arrays, labels, open_labels, vertex: int) -> np.ndarray:
     return mat.reshape(rows, -1)
 
 
-def svd(m, tol: float = DEFAULT_TOL) -> SvdResult:
-    """Economy SVD of a matrix; rank counts singular values > tol * s_max."""
+def svd(m) -> SvdResult:
+    """Economy SVD of a matrix; rank counts singular values > DEFAULT_TOL * s_max."""
     mat = _as_matrix(m)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    rank = _rank_from_singulars(s, tol)
+    rank = _rank_from_singulars(s, DEFAULT_TOL)
     return SvdResult(u=DenseTensor(u), s=s, vdag=DenseTensor(vh), rank=rank)
 
 
@@ -291,16 +314,16 @@ def matrix_rank(m, tol: float = DEFAULT_TOL) -> int:
     return _rank_from_singulars(s, tol)
 
 
-def nullspace(m, tol: float = DEFAULT_TOL) -> DenseTensor:
+def nullspace(m) -> DenseTensor:
     """Orthonormal columns spanning the (right) kernel of a k-by-n matrix."""
     mat = _as_matrix(m)
     _, n = mat.shape
     u, s, vh = np.linalg.svd(mat, full_matrices=True)
-    rank = _rank_from_singulars(s, tol)
+    rank = _rank_from_singulars(s, DEFAULT_TOL)
     return DenseTensor(vh[rank:].conj().T.reshape(n, n - rank))
 
 
-def reduced_rq(m, tol: float = DEFAULT_TOL) -> tuple[DenseTensor, DenseTensor]:
+def reduced_rq(m) -> tuple[DenseTensor, DenseTensor]:
     """Reduced RQ split of a k-by-n matrix: m = r @ q with q q† = identity.
 
     `q` keeps only rank(m) rows, so `r` has shape (k, rank).  Implemented as a
@@ -310,7 +333,7 @@ def reduced_rq(m, tol: float = DEFAULT_TOL) -> tuple[DenseTensor, DenseTensor]:
     mat = _as_matrix(m)
     k, n = mat.shape
     qt, rt, piv = scipy.linalg.qr(mat.conj().T, mode="economic", pivoting=True)
-    rank = _rank_from_singulars(np.abs(np.diag(rt)), tol)
+    rank = _rank_from_singulars(np.abs(np.diag(rt)), DEFAULT_TOL)
     # mat†[:, piv] = qt @ rt, so mat[piv, :] = rt† qt†; undo the row pivot.
     inv = np.argsort(piv)
     r = rt[:rank, :].conj().T[inv, :]
@@ -318,9 +341,9 @@ def reduced_rq(m, tol: float = DEFAULT_TOL) -> tuple[DenseTensor, DenseTensor]:
     return DenseTensor(r.reshape(k, rank)), DenseTensor(q.reshape(rank, n))
 
 
-def reduced_qr(m, tol: float = DEFAULT_TOL) -> tuple[DenseTensor, DenseTensor]:
+def reduced_qr(m) -> tuple[DenseTensor, DenseTensor]:
     """Companion split m = q @ r with q†q = identity, q of shape (k, rank)."""
-    r_t, q_t = reduced_rq(as_array(m).conj().T, tol=tol)
+    r_t, q_t = reduced_rq(as_array(m).conj().T)
     return DenseTensor(q_t.array.conj().T), DenseTensor(r_t.array.conj().T)
 
 

@@ -16,6 +16,7 @@ from .tensors import (
     DEFAULT_EVAL_CAP,
     DenseTensor,
     as_array,
+    check_normalized,
     contract_network,
     split_leg,
 )
@@ -151,9 +152,7 @@ def from_state_ttns(psi, net: TreeNetwork, root: int) -> Ttns:
     if net.degree(root) != 1 and net.n > 1:
         raise ValueError(f"root {root} must be a leaf")
     arr = as_array(psi).reshape(net.dims)
-    nrm = float(np.linalg.norm(arr))
-    if abs(nrm - 1.0) > 1e-8:
-        raise NormalizationError(f"state norm {nrm!r} differs from 1 by more than 1e-8")
+    check_normalized(arr)
     parent = net.parents_toward(root)
     labels: list[tuple] = [("p", v) for v in range(1, net.n + 1)]
     current = arr

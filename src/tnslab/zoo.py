@@ -14,7 +14,7 @@ import numpy as np
 from .errors import CapacityError, DimensionMismatchError
 from .mps_obc import MpsObc, chain_network
 from .mps_pbc import MpsPbc
-from .tensors import DenseTensor, as_array, check_capacity, contract_network
+from .tensors import NOISE_TOL, DenseTensor, as_array, check_capacity, contract_network
 
 MAX_SPIN_CHAIN = 8
 
@@ -196,7 +196,7 @@ def _orthogonal_with_flat_first_row(d: int) -> np.ndarray:
         for r in rows:
             v = v - (r @ v) * r
         nrm = float(np.linalg.norm(v))
-        if nrm > 1e-12:
+        if nrm > NOISE_TOL:
             rows.append(v / nrm)
     return np.array(rows)
 
@@ -322,8 +322,6 @@ def _fine_sites(spec: FineGrainSpec, s1: float, t: float) -> list[DenseTensor]:
     ring bond.
     """
     factors = spec.factors
-    p = len(factors)
-    m = spec.m
     blocks = _s_mpo_blocks(factors, s1, t)
     sites: list[DenseTensor] = []
     for l, d in enumerate(factors):
@@ -333,25 +331,12 @@ def _fine_sites(spec: FineGrainSpec, s1: float, t: float) -> list[DenseTensor]:
         s_left, s_right = blk.shape[0], blk.shape[1]
         rest = math.prod(factors[l + 1:])   # left-symbol digits after this one
         built = math.prod(factors[:l])      # right-symbol digits before this one
-        left_dim = m if l == 0 else d * rest * built * s_left
-        right_dim = m if l == p - 1 else rest * built * d * s_right
-        f = np.zeros((d * d, left_dim, right_dim), dtype=np.complex128)
-        for x in range(d):
-            for y in range(d):
-                for xs in range(rest):
-                    for yb in range(built):
-                        for sl in range(s_left):
-                            for sr in range(s_right):
-                                if l == 0:
-                                    lix = x * rest + xs
-                                else:
-                                    lix = ((x * rest + xs) * built + yb) * s_left + sl
-                                if l == p - 1:
-                                    rix = yb * d + y
-                                else:
-                                    rix = (xs * (built * d) + yb * d + y) * s_right + sr
-                                f[x * d + y, lix, rix] += g[sl, sr, x, y]
-        sites.append(DenseTensor(f))
+        # legs (x, y | x, xs, yb, s_left | xs, yb, y, s_right); at the first and
+        # last site, built, s_left or rest, s_right are 1 and the bond is the ring's
+        f = np.zeros((d, d, d, rest, built, s_left, rest, built, d, s_right), dtype=np.complex128)
+        x, y, xs, yb = np.ix_(range(d), range(d), range(rest), range(built))
+        f[x, y, x, xs, yb, :, xs, yb, y, :] = g.transpose(2, 3, 0, 1)[:, :, None, None]
+        sites.append(DenseTensor(f.reshape(d * d, d * rest * built * s_left, -1)))
     return sites
 
 

@@ -12,3 +12,39 @@ def test_library_invariants_raise_instead_of_asserting():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert list(SRC.glob("*.py")) and not found
+
+
+def _is_threshold(node) -> bool:
+    """A number that reads as a tolerance or a cap: nonzero, at most 1e-5 or
+    at least 1e3 in magnitude (bools are not numbers here)."""
+    if not isinstance(node, ast.Constant) or type(node.value) not in (int, float, complex):
+        return False
+    return node.value != 0 and not 1e-5 < abs(node.value) < 1e3
+
+
+def test_thresholds_are_named_only_in_the_tensors_tolerance_block():
+    # a tolerance written as a number outside tensors.py escapes the one policy
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "tensors.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if _is_threshold(n)]
+    assert list(SRC.glob("*.py")) and not found
+
+
+def test_every_tensors_constant_states_its_reason():
+    # each module-level constant carries a comment on its line or the line above
+    text = (SRC / "tensors.py").read_text(encoding="utf-8")
+    lines = text.splitlines()
+    names = [
+        (node.targets[0].id, node.lineno)
+        for node in ast.parse(text).body
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id.isupper()
+    ]
+    missing = [
+        name
+        for name, k in names
+        if "#" not in lines[k - 1] and not lines[k - 2].lstrip().startswith("#")
+    ]
+    assert names and not missing
