@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .tensors import DEFAULT_EVAL_CAP, DEFAULT_TOL, DenseTensor, as_array, check_capacity
+from .tensors import DEFAULT_TOL, DenseTensor, as_array, check_capacity, check_state
 
 TensorId = tuple
 
@@ -116,7 +116,7 @@ def random_mera(L: int, m: int, d: int, seed: int) -> Mera:
         raise ValueError("m and d must be positive")
     if m > d * d:
         raise ValueError(f"m={m} exceeds d^2={d * d}; layer-1 isometries need m <= d^2")
-    check_capacity(d**L, what="full state")
+    check_state(d**L, "full state")
     rng = np.random.default_rng(seed)
     layers = []
     n_layers = int(math.log2(L))
@@ -164,9 +164,10 @@ def validate_isometries(mera: Mera, tol: float = DEFAULT_TOL) -> IsometryReport:
     return IsometryReport(residuals=residuals, tol=tol, passed=passed)
 
 
-def eval_mera(mera: Mera, cap: int = DEFAULT_EVAL_CAP) -> DenseTensor:
-    """Full state of shape (d,)*L by expanding from the top tensor downward."""
-    check_capacity(mera.d**mera.L, cap=cap, what="full state")
+def eval_mera(mera: Mera) -> DenseTensor:
+    """Full state of shape (d,)*L by expanding from the top tensor downward;
+    an isometry scales the size by f*f/m, past the state's size if m > d*d."""
+    cap = check_state(mera.d**mera.L, "full state")
     state = as_array(mera.top)
     for ell in range(mera.n_layers, 0, -1):
         layer = mera.layers[ell - 1]
@@ -174,6 +175,7 @@ def eval_mera(mera: Mera, cap: int = DEFAULT_EVAL_CAP) -> DenseTensor:
         # isometry adjoints: coarse site b becomes fine pair (2b, 2b+1)
         for b in range(len(layer.isometries) - 1, -1, -1):
             w = as_array(layer.isometries[b]).reshape(mera.m, f, f)
+            check_capacity(state.size // mera.m * f * f, cap, "evaluation intermediate")
             state = np.tensordot(state, w.conj(), axes=([b], [0]))
             state = np.moveaxis(state, (-2, -1), (b, b + 1))
         # disentangler adjoints across block boundaries, wrapping at the end
@@ -185,7 +187,6 @@ def eval_mera(mera: Mera, cap: int = DEFAULT_EVAL_CAP) -> DenseTensor:
             op = u4.conj().transpose(2, 3, 0, 1)  # (out_i, out_j, in_i, in_j)
             state = np.tensordot(state, op, axes=([i, j], [2, 3]))
             state = np.moveaxis(state, (-2, -1), (i, j))
-        check_capacity(state.size, what="evaluation intermediate")
     return DenseTensor(state)
 
 

@@ -7,13 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    InvertibilityError,
-    RankError,
-)
+from .errors import CapacityError, DimensionMismatchError, InvertibilityError, RankError
 from .tensors import (
-    DEFAULT_EVAL_CAP,
     DEFAULT_TOL,
     GAUGE_COND_MAX,
     WORKING_TOL,
@@ -22,6 +17,7 @@ from .tensors import (
     as_array,
     check_capacity,
     check_normalized,
+    check_state,
     contract_network,
     split_leg,
 )
@@ -102,9 +98,9 @@ class SchmidtData:
     rank: int
 
 
-def eval_obc(mps: MpsObc, cap: int = DEFAULT_EVAL_CAP) -> DenseTensor:
+def eval_obc(mps: MpsObc) -> DenseTensor:
     """Materialize the full state tensor of shape d_1 x ... x d_N."""
-    return DenseTensor(contract_network(*mps.tensor_network(), cap))
+    return DenseTensor(contract_network(*mps.tensor_network()))
 
 
 def from_state_obc(psi, dims, max_bond: int | None = None) -> MpsObc:
@@ -114,6 +110,7 @@ def from_state_obc(psi, dims, max_bond: int | None = None) -> MpsObc:
     corresponding cut; there is no truncation (max_bond below a rank raises).
     """
     dims = [int(d) for d in dims]
+    check_state(math.prod(dims))
     arr = as_array(psi).reshape(tuple(dims))
     check_normalized(arr)
     n = len(dims)
@@ -137,8 +134,8 @@ def right_canonicalize(mps: MpsObc) -> MpsObc:
     A left-to-right pass of leg splits first makes every left block injective,
     so the right-to-left pass lands on exact Schmidt ranks; padded bonds
     collapse.  The state is normalized, and the global phase is fixed by making
-    the largest-magnitude amplitude real positive whenever the full state fits
-    in the evaluation cap.
+    the largest-magnitude amplitude real positive whenever `eval_obc` can
+    evaluate the full state under the capacity rule (`check_state`).
     """
     n = len(mps)
     # (left, physical, right) axes while sweeping
@@ -152,11 +149,12 @@ def right_canonicalize(mps: MpsObc) -> MpsObc:
             tensors[i - 1] = np.tensordot(tensors[i - 1], r, axes=([2], [0]))
         # at i == 0 the 1x1 factor r holds norm and phase; both are dropped
     out = [DenseTensor(t.transpose(1, 0, 2)) for t in tensors]
-    if math.prod(mps.site_dims) <= DEFAULT_EVAL_CAP:
+    try:
         vec = eval_obc(MpsObc(out)).array.ravel()
-        k = int(np.argmax(np.abs(vec)))
-        phase = vec[k] / abs(vec[k])
-        out[0] = DenseTensor(out[0].array * np.conj(phase))
+    except CapacityError:  # a state past the state cap keeps the phase the sweeps left
+        return MpsObc(out)
+    k = int(np.argmax(np.abs(vec)))
+    out[0] = DenseTensor(out[0].array * np.conj(vec[k] / abs(vec[k])))
     return MpsObc(out)
 
 

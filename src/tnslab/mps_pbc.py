@@ -26,7 +26,6 @@ from .tensors import (
     BASIS_TOL,
     BLOCK_TOL,
     CLUSTER_TOL,
-    DEFAULT_EVAL_CAP,
     INVARIANT_TOL,
     NILPOTENT_TOL,
     NOISE_TOL,
@@ -121,9 +120,9 @@ class CanonicalBlocks:
         return DenseTensor(out)
 
 
-def eval_pbc(mps: MpsPbc, cap: int = DEFAULT_EVAL_CAP) -> DenseTensor:
+def eval_pbc(mps: MpsPbc) -> DenseTensor:
     """Full state tensor; amplitude at s is the trace of the cyclic product."""
-    return DenseTensor(contract_network(*mps.tensor_network(), cap))
+    return DenseTensor(contract_network(*mps.tensor_network()))
 
 
 def transfer_matrix(a) -> DenseTensor:
@@ -174,6 +173,7 @@ def span_dimensions(a, ell_max: int) -> list[int]:
         if basis.shape[0] == 0:
             dims.append(0)
             continue
+        check_capacity(d * basis.shape[0] * m * m, what="span candidates")
         cand = np.einsum("sab,kbc->skac", arr, basis.reshape(-1, m, m))
         new = _orthonormal_rows(cand.reshape(-1, m * m))
         if new.shape[0] == basis.shape[0]:

@@ -170,7 +170,7 @@ def _norm(x: np.ndarray) -> float:
     return float(scipy.linalg.norm(np.ravel(x), check_finite=False))
 
 
-def _reg_term(obj: Objective, params) -> float:
+def _reg_term(obj: Objective, params, transfer_norm: float | None = None) -> float:
     if obj.reg_kind == "none":
         return 0.0
     arrs = _tensor_arrays(params)
@@ -180,7 +180,7 @@ def _reg_term(obj: Objective, params) -> float:
             sq = np.linalg.norm(arrs[0]) ** 2
             return float(sum(l * sq for l in lams))
         return float(sum(l * np.linalg.norm(a) ** 2 for l, a in zip(lams, arrs)))
-    nrm = _norm(_transfer_product(arrs))
+    nrm = _norm(_transfer_product(arrs)) if transfer_norm is None else transfer_norm
     return float(obj.reg_weight) * nrm * nrm
 
 
@@ -408,6 +408,7 @@ def _screen(obj: Objective, loc: _Local, params: _Point, site: int, env, a0, can
             left, right = env
             (_, ml, mr), lam = params.tensors[site - 1].shape, float(obj.reg_weight)
             x = x.reshape(2, d, ml, mr)
+            check_capacity(4 * ml * ml * mr * mr, what="mixed transfer matrices")
             tr = np.einsum("isab,jscd->ijacbd", x.conj(), x).reshape(4, ml * ml, mr * mr)
             p = left @ tr @ right  # L T(x_i, x_j) R
             p = np.stack([p[0], p[1] + p[2], p[3]]).reshape(3, -1)
@@ -537,17 +538,18 @@ def als_sweep(obj: Objective, params, site: int):
 
 
 def _metrics(obj: Objective, params, iteration: int, flag: str) -> TraceRecord:
-    """The record of a full evaluation: one contraction of the state."""
+    """The record of a full evaluation: one state contraction, one transfer product."""
     arrs = _tensor_arrays(params)
     f, overlap = _state_value(obj, _state_vector(params))
+    transfer_norm = _norm(_transfer_product(arrs))
     return TraceRecord(
         iteration=iteration,
         f=f,
-        f_reg=f + _reg_term(obj, params),
+        f_reg=f + _reg_term(obj, params, transfer_norm),
         overlap=overlap,
         max_abs_entry=float(max(np.abs(a).max() for a in arrs)),
         frobenius_norms=tuple(float(np.linalg.norm(a)) for a in arrs),
-        transfer_product_norm=_norm(_transfer_product(arrs)),
+        transfer_product_norm=transfer_norm,
         flag=flag,
     )
 

@@ -8,8 +8,8 @@ The tolerance block below is the one place where the library's tolerances
 are defined: rank cuts, canonical-block tolerances, input checks and
 optimizer stopping rules, each with its reason, beside the two dense
 capacity caps.  Other modules import these names and write no tolerance as a
-number; only problem-size limits (`zoo.MAX_SPIN_CHAIN`,
-`geometry.MAX_*_PARAMS`) stay beside the code they limit.
+number; only problem-size limits (`geometry.MAX_*_PARAMS`) stay beside the
+code they limit.  No other module names the caps: `check_state` is the rule.
 
 `split_leg` cuts one leg of a tensor to the rank of the unfolding (that leg)
 x (all other legs), by a reduced RQ.  Every chain and tree decomposition
@@ -59,13 +59,20 @@ SCREEN_TOL = 1e-9
 DEFAULT_DIVERGENCE = 1e6  # an entry six decades above a normalized start's unit scale
 GAUGE_COND_MAX = 1e8  # inverting a gauge matrix this ill-conditioned loses half the digits
 DECADE_TOL = 1e-9  # log10 of a float power of ten is an integer to about 1e-15
-DEFAULT_CAPACITY_CAP = 2**24  # dense intermediates, 256 MiB; TNS_CAPACITY_CAP overrides it
-DEFAULT_EVAL_CAP = 2**20  # a full state vector, 16 MiB, unless a caller passes its own cap
+DEFAULT_CAPACITY_CAP = 2**24  # any dense object, 256 MiB; TNS_CAPACITY_CAP overrides it
+DEFAULT_EVAL_CAP = 2**20  # a full state, 16 MiB, or the capacity cap where that is lower
 
 
 def capacity_cap() -> int:
     raw = os.environ.get("TNS_CAPACITY_CAP")
     return int(raw) if raw else DEFAULT_CAPACITY_CAP
+
+
+def check_state(size: int, what: str = "state") -> int:
+    """Check a full state against min(DEFAULT_EVAL_CAP, capacity cap); return the capacity cap."""
+    cap = capacity_cap()
+    check_capacity(size, min(DEFAULT_EVAL_CAP, cap), what)
+    return cap
 
 
 def check_capacity(size: int, cap: int | None = None, what: str = "tensor") -> None:
@@ -181,15 +188,16 @@ def contract_network(
 
     `labels[k]` names the axes of `arrays[k]`.  A label in `open_labels`
     appears once in the network; every other label appears twice and is
-    summed over.  The final array is checked against `cap` (None: the
-    capacity cap) and every intermediate against the capacity cap, before
-    anything is allocated.
+    summed over.  The result is checked against min(cap, capacity cap), by
+    default the state rule of `check_state` (None: the capacity cap), and
+    every intermediate against the capacity cap, before anything is allocated.
     """
     labels = tuple(map(tuple, labels))
     shapes = tuple(a.shape for a in arrays)
     steps, perm, size, peak = _plan(labels, shapes, tuple(open_labels))
-    check_capacity(size, cap=cap, what="contraction result")
-    check_capacity(peak, what="contraction intermediate")
+    limit = capacity_cap()
+    check_capacity(size, limit if cap is None else min(cap, limit), "contraction result")
+    check_capacity(peak, limit, "contraction intermediate")
     nodes = [np.asarray(a) for a in arrays]
     for ia, ib, pa, sa, pb, sb, out in steps:
         b = nodes.pop(ib)

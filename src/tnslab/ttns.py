@@ -2,24 +2,14 @@
 root-directed sweeps of leg splits, and the orthonormal (isometric) form."""
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NormalizationError,
-    RankError,
-)
+from .errors import DimensionMismatchError, NormalizationError, RankError
 from .peps import graph_network, parse_graph
-from .tensors import (
-    DEFAULT_EVAL_CAP,
-    DenseTensor,
-    as_array,
-    check_normalized,
-    contract_network,
-    split_leg,
-)
+from .tensors import DenseTensor, as_array, check_normalized, check_state, contract_network, split_leg
 
 
 def _edge_key(i: int, j: int) -> tuple[int, int]:
@@ -129,9 +119,9 @@ class Ttns:
         return f"Ttns(n={self.network.n}, dims={self.network.dims})"
 
 
-def eval_ttns(t: Ttns, cap: int = DEFAULT_EVAL_CAP) -> DenseTensor:
+def eval_ttns(t: Ttns) -> DenseTensor:
     """Contract the whole tree into the dense state (axes ordered by vertex id)."""
-    return DenseTensor(contract_network(*t.tensor_network(), cap))
+    return DenseTensor(contract_network(*t.tensor_network()))
 
 
 def _visit_order(net: TreeNetwork, root: int, outward: bool) -> list[int]:
@@ -151,6 +141,7 @@ def from_state_ttns(psi, net: TreeNetwork, root: int) -> Ttns:
     """
     if net.degree(root) != 1 and net.n > 1:
         raise ValueError(f"root {root} must be a leaf")
+    check_state(math.prod(net.dims))
     arr = as_array(psi).reshape(net.dims)
     check_normalized(arr)
     parent = net.parents_toward(root)

@@ -11,12 +11,10 @@ import math
 
 import numpy as np
 
-from .errors import CapacityError, DimensionMismatchError
+from .errors import DimensionMismatchError
 from .mps_obc import MpsObc, chain_network
 from .mps_pbc import MpsPbc
-from .tensors import NOISE_TOL, DenseTensor, as_array, check_capacity, contract_network
-
-MAX_SPIN_CHAIN = 8
+from .tensors import NOISE_TOL, DenseTensor, as_array, check_capacity, check_state, contract_network
 
 
 def w_state(n: int, d: int = 2) -> DenseTensor:
@@ -25,7 +23,7 @@ def w_state(n: int, d: int = 2) -> DenseTensor:
         raise ValueError("w_state needs n >= 2")
     if d < 2:
         raise ValueError("w_state needs d >= 2")
-    check_capacity(d ** n, what="state")
+    check_state(d ** n)
     arr = np.zeros((d,) * n, dtype=np.complex128)
     amp = 1.0 / math.sqrt(n)
     for j in range(n):
@@ -46,7 +44,7 @@ def psi_w(n: int, eps: float) -> DenseTensor:
         raise ValueError("psi_w needs n >= 2")
     if not eps > 0:
         raise ValueError("eps must be positive (eps = 0 collapses to w_state)")
-    check_capacity(2 ** n, what="state")
+    check_state(2 ** n)
     phi = np.array([1.0, eps], dtype=np.complex128)
     arr = np.array([1.0], dtype=np.complex128)
     for _ in range(n):
@@ -119,7 +117,7 @@ def psi_tau_tensors(n: int, m: int, eps: float) -> MpsPbc:
         raise ValueError("bond dimension must be positive")
     if not eps > 0:
         raise ValueError("eps must be positive")
-    check_capacity((m * m) ** n, what="state")
+    check_state((m * m) ** n)
 
     def site(weights: np.ndarray) -> np.ndarray:
         t = np.zeros((m * m, m, m), dtype=np.complex128)
@@ -144,7 +142,7 @@ def two_domain_state(n: int, m: int) -> DenseTensor:
         raise ValueError("needs n >= 3")
     if m < 1:
         raise ValueError("bond dimension must be positive")
-    check_capacity((m * m) ** n, what="state")
+    check_state((m * m) ** n)
     arr = np.zeros(((m * m),) * n, dtype=np.complex128)
     for a in range(m):
         arr[(a * m + a,) * n] = 1.0
@@ -366,12 +364,11 @@ def blbq_hamiltonian(n: int, theta: float, pbc: bool) -> DenseTensor:
     """Dense bilinear-biquadratic spin-1 chain Hamiltonian.
 
     H = sum_i cos(theta) S_i.S_{i+1} + sin(theta) (S_i.S_{i+1})^2, with the
-    wrap bond included iff pbc.  Limited to n <= 8 sites.
+    wrap bond included iff pbc.  Its 9^n entries pass the capacity guard.
     """
     if n < 2:
         raise ValueError("needs n >= 2")
-    if n > MAX_SPIN_CHAIN:
-        raise CapacityError(f"spin chain capped at {MAX_SPIN_CHAIN} sites, got {n}")
+    check_capacity(9**n, what="Hamiltonian")
     sx, sy, sz = spin1_matrices()
     dim = 3 ** n
     h = np.zeros((dim, dim), dtype=np.complex128)

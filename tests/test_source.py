@@ -48,3 +48,21 @@ def test_every_tensors_constant_states_its_reason():
         if "#" not in lines[k - 1] and not lines[k - 2].lstrip().startswith("#")
     ]
     assert names and not missing
+
+
+def test_the_capacity_rule_is_decided_only_in_tensors():
+    # a `cap` parameter or a cap constant elsewhere would be a second rule for
+    # how big a state may be; tensors.check_state is the one rule
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "tensors.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for node in ast.walk(tree):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if isinstance(node, ast.alias):
+                    name = node.name
+                if isinstance(node, ast.arg) and node.arg == "cap":
+                    found.append(f"{path.name}:{node.lineno} parameter cap")
+                if name in ("DEFAULT_EVAL_CAP", "DEFAULT_CAPACITY_CAP"):
+                    found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
+    assert list(SRC.glob("*.py")) and not found
