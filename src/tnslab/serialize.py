@@ -11,6 +11,7 @@ import gc
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 
@@ -18,17 +19,17 @@ from .mera import Mera
 from .mps_obc import MpsObc
 from .mps_pbc import MpsPbc
 from .peps import Peps, PepsNetwork
-from .tensors import DenseTensor, as_array
+from .tensors import DenseTensor, as_array, check_capacity, check_state
 from .ttns import TreeNetwork, Ttns
 
 
-def tensor_to_obj(tensor) -> dict:
+def _tensor_obj(tensor, data) -> dict:
     arr = np.asarray(as_array(tensor))
-    flat = arr.ravel()
-    return {
-        "shape": [int(s) for s in arr.shape],
-        "data": np.stack((flat.real, flat.imag), axis=-1).tolist(),
-    }
+    return {"shape": [int(s) for s in arr.shape], "data": data(arr.ravel())}
+
+
+def tensor_to_obj(tensor) -> dict:
+    return _tensor_obj(tensor, lambda flat: np.stack((flat.real, flat.imag), axis=-1).tolist())
 
 
 def _field(obj, key: str, kind: type):
@@ -46,35 +47,40 @@ def _ints(values, key: str) -> list[int]:
     return values
 
 
-def tensor_from_obj(obj: dict) -> np.ndarray:
+def tensor_from_obj(obj: dict, check=check_capacity) -> np.ndarray:
+    """The array a tensor object describes; `check(size)` passes its entry
+    count before the array is allocated."""
     if not isinstance(obj, dict):
         raise ValueError("a tensor must be a JSON object with shape and data")
     shape = tuple(_ints(_field(obj, "shape", list), "shape"))
     data = _field(obj, "data", list)
-    if min(shape, default=0) < 0 or len(data) != math.prod(shape):
+    size = math.prod(shape)
+    if min(shape, default=0) < 0 or len(data) != size:
         raise ValueError("tensor data does not match its shape")
+    check(size)
     numbers = itertools.chain.from_iterable
     try:
         # pairs of JSON numbers only: a bool would pass as 0 or 1
         if set(map(len, data)) - {2} or set(map(type, numbers(data))) - {int, float}:
             raise TypeError
-        flat = np.fromiter(numbers(data), dtype=np.float64, count=2 * len(data))
+        flat = np.fromiter(numbers(data), dtype=np.float64, count=2 * size)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError("tensor data must be [re, im] number pairs") from exc
     return flat.view(np.complex128).reshape(shape)
 
 
-def state_to_obj(state) -> dict:
-    """Serialize any supported container to a plain JSON-ready dict."""
+def _layout(state, leaf) -> dict:
+    """The JSON-ready dict of any supported container, with leaf(tensor) in
+    each tensor's place."""
     if isinstance(state, DenseTensor):
-        return {"kind": "dense_state", "tensor": tensor_to_obj(state)}
+        return {"kind": "dense_state", "tensor": leaf(state)}
     if isinstance(state, MpsObc):
-        return {"kind": "mps_obc", "tensors": [tensor_to_obj(t) for t in state.tensors]}
+        return {"kind": "mps_obc", "tensors": [leaf(t) for t in state.tensors]}
     if isinstance(state, MpsPbc):
         return {
             "kind": "mps_pbc",
             "translation_invariant": bool(state.translation_invariant),
-            "tensors": [tensor_to_obj(t) for t in state.tensors],
+            "tensors": [leaf(t) for t in state.tensors],
         }
     if isinstance(state, (Ttns, Peps)):
         net = state.network
@@ -84,19 +90,24 @@ def state_to_obj(state) -> dict:
                 "dims": [int(d) for d in net.dims],
                 "edges": [[int(i), int(j), int(m)] for i, j, m in net.edges],
             },
-            "tensors": [tensor_to_obj(t) for t in state.tensors],
+            "tensors": [leaf(t) for t in state.tensors],
         }
     if isinstance(state, Mera):
         layers = [
             {
-                "disentanglers": [tensor_to_obj(u) for u in layer.disentanglers],
-                "isometries": [tensor_to_obj(w) for w in layer.isometries],
+                "disentanglers": [leaf(u) for u in layer.disentanglers],
+                "isometries": [leaf(w) for w in layer.isometries],
             }
             for layer in state.layers
         ]
         sizes = {"L": int(state.L), "m": int(state.m), "d": int(state.d)}
-        return {"kind": "mera", **sizes, "layers": layers, "top": tensor_to_obj(state.top)}
+        return {"kind": "mera", **sizes, "layers": layers, "top": leaf(state.top)}
     raise TypeError(f"cannot serialize {type(state).__name__}")
+
+
+def state_to_obj(state) -> dict:
+    """Serialize any supported container to a plain JSON-ready dict."""
+    return _layout(state, tensor_to_obj)
 
 
 def state_from_obj(obj: dict):
@@ -106,7 +117,7 @@ def state_from_obj(obj: dict):
         raise ValueError("a state must be a JSON object with a kind")
     kind = obj.get("kind")
     if kind == "dense_state":
-        return DenseTensor(tensor_from_obj(obj.get("tensor")))
+        return DenseTensor(tensor_from_obj(obj.get("tensor"), check_state))
     if kind not in ("mps_obc", "mps_pbc", "ttns", "peps", "mera"):
         raise ValueError(f"unknown state kind {kind!r}")
     if kind == "mera":
@@ -150,13 +161,66 @@ def _collector_paused():
             gc.enable()
 
 
+def _distinct_texts(flats: list[np.ndarray]) -> list[str] | None:
+    """The JSON text of each flat complex array as [[re, im], ...] pairs, or
+    None when more than half of all their float64 values are distinct.
+
+    Values are told apart by their bit patterns, so -0.0 stays apart from
+    0.0. json's float formatter runs once per distinct value, and each text
+    joins those tokens by the inverse index, building no per-amplitude list.
+    When most values are distinct, each needs its own formatting anyway, and
+    the per-amplitude tree through the C encoder is the faster way.
+    """
+    bits = np.concatenate(flats).view(np.uint64)
+    ordered = np.sort(bits)
+    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    if 2 * np.count_nonzero(first) > bits.size:
+        return None
+    distinct = ordered[first]
+    tokens = json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", ")
+    # a real part opens its amplitude's pair, an imaginary part closes it
+    table = np.array([f"[{t}, " for t in tokens] + [f"{t}], " for t in tokens], dtype=object)
+    index = np.searchsorted(distinct, bits)
+    index[1::2] += len(tokens)
+    pieces = np.split(table[index], np.cumsum([2 * f.size for f in flats[:-1]]))
+    return ["[" + "".join(p.tolist())[:-2] + "]" for p in pieces]
+
+
 def save_state(state, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh, _collector_paused():
-        # the C encoder (json.dump is pure Python); the tree has no cycles
-        fh.write(json.dumps(state_to_obj(state), check_circular=False))
+    """Write any supported container to `path` as UTF-8 JSON text.
+
+    The bytes are those of json.dumps(state_to_obj(state)) and a newline.
+    Unless most values are distinct, that dict is never built: the skeleton
+    holds "\\0<i>" in the place of the i-th tensor's data, a string no key or
+    kind name contains, and the data's text from _distinct_texts replaces it.
+    """
+    flats = []
+
+    def place(flat):
+        flats.append(flat)
+        return f"\0{len(flats) - 1}"
+
+    skeleton = _layout(state, lambda t: _tensor_obj(t, place))
+    texts = _distinct_texts(flats)
+    if texts is None:
+        with _collector_paused():
+            # the C encoder (json.dump is pure Python); the tree has no cycles
+            text = json.dumps(state_to_obj(state), check_circular=False)
+    else:
+        parts = re.split(r'"\\u0000(\d+)"', json.dumps(skeleton))
+        parts[1::2] = [texts[int(i)] for i in parts[1::2]]
+        text = "".join(parts)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
         fh.write("\n")
 
 
 def load_state(path):
+    """The container saved at `path`.
+
+    ValueError when the JSON is not a state, CapacityError when a dense
+    state is over the state cap or another tensor over the capacity cap;
+    both before the refused array is allocated.
+    """
     with open(path, "r", encoding="utf-8") as fh, _collector_paused():
         return state_from_obj(json.load(fh))

@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 
 from tnslab import optimize
+from tnslab.cli import main
 from tnslab.errors import CapacityError
 from tnslab.geometry import jacobian_rank, stabilizer_lie_dim
 from tnslab.mera import Mera, eval_mera, random_mera
-from tnslab.mps_obc import eval_obc, from_state_obc, right_canonicalize
+from tnslab.mps_obc import MpsObc, eval_obc, from_state_obc, right_canonicalize
 from tnslab.mps_pbc import MpsPbc, eval_pbc, injectivity_length, ti_canonical_blocks, transfer_matrix
 from tnslab.optimize import distance_objective, run_experiment
+from tnslab.serialize import load_state, save_state
 from tnslab.ttns import TreeNetwork, from_state_ttns
 from tnslab.zoo import blbq_hamiltonian, psi_w, w_obc_mps, w_state
 
@@ -171,3 +173,26 @@ def test_right_canonicalize_under_a_capacity_cap_below_its_state(monkeypatch):
         assert np.abs(b @ b.conj().T - np.eye(t.shape[1])).max() < 1e-12
     assert canon.bond_dims == (2,) * 7
     assert fidelity(eval_obc(canon).array, w_state(8)) > 1 - 1e-12
+
+
+@pytest.mark.parametrize(
+    "build, what, size",
+    [
+        pytest.param(lambda: w_state(8), "state", 2**8, id="dense_state"),
+        # a 3-site chain with bond 8: its middle tensor has 2 x 8 x 8 entries
+        pytest.param(
+            lambda: MpsObc([np.ones((2, 1, 8)), np.ones((2, 8, 8)), np.ones((2, 8, 1))]),
+            "tensor", 2 * 8 * 8, id="mps_obc",
+        ),
+    ],
+)
+def test_loading_a_file_obeys_the_caps(tmp_path, monkeypatch, capsys, build, what, size):
+    # saved under the default caps, read back under a cap of 100 entries
+    path = tmp_path / "state.json"
+    save_state(build(), path)
+    monkeypatch.setenv("TNS_CAPACITY_CAP", "100")
+    with pytest.raises(CapacityError) as err:
+        load_state(path)
+    assert str(err.value) == f"{what} with {size} entries exceeds cap of 100"
+    assert main(["certify", "--input", str(path), "--checks", "wellformed"]) == 3
+    assert str(err.value) in capsys.readouterr().err

@@ -23,7 +23,7 @@ from tnslab.serialize import (
 )
 from tnslab.tensors import DenseTensor, as_array
 from tnslab.ttns import TreeNetwork, Ttns
-from tnslab.zoo import aklt_tensor, psi_tau_tensors, w_state
+from tnslab.zoo import aklt_tensor, psi_tau_tensors, psi_w, w_obc_mps, w_state
 
 
 def test_tensor_obj_layout():
@@ -128,13 +128,34 @@ def _per_amplitude_obj(tensor):
     }
 
 
-@pytest.mark.parametrize("kind", ["mera", "dense"])
-def test_save_state_text_matches_the_per_amplitude_writer(tmp_path, monkeypatch, kind):
-    rng = np.random.default_rng(63)
-    if kind == "mera":
-        state = random_mera(8, 2, 2, 5)
-    else:
-        state = DenseTensor(rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8)))
+def _complex_normal(seed, shape):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+# 0.0 and -0.0 differ only in their sign bit; 5e-324 is the smallest subnormal
+_SIGNED_ZEROS = np.array([0.0, -0.0, 5e-324, -1e300])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: random_mera(8, 2, 2, 5), id="mera"),
+        pytest.param(lambda: DenseTensor(_complex_normal(63, (4, 8))), id="dense"),
+        pytest.param(lambda: psi_w(8, 0.05), id="psi_w"),
+        pytest.param(lambda: w_state(8), id="w_state"),
+        pytest.param(lambda: w_obc_mps(5), id="w_obc_mps"),
+        pytest.param(lambda: DenseTensor(np.zeros((2, 0))), id="empty"),
+        pytest.param(
+            lambda: DenseTensor(
+                _SIGNED_ZEROS[np.arange(24) % 4] + 1j * _SIGNED_ZEROS[np.arange(24) // 6]
+            ),
+            id="signed_zeros",
+        ),
+    ],
+)
+def test_save_state_text_matches_the_per_amplitude_writer(tmp_path, monkeypatch, build):
+    state = build()
     path = tmp_path / "state.json"
     save_state(state, path)
     monkeypatch.setattr(serialize, "tensor_to_obj", _per_amplitude_obj)
@@ -213,10 +234,12 @@ def test_save_and_load_keep_the_callers_collector_setting(tmp_path, enabled):
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
-        save_state(w_state(3), good)
-        assert gc.isenabled() is enabled
-        load_state(good)
-        assert gc.isenabled() is enabled
+        # two distinct values, then mostly distinct ones: the writer's two paths
+        for state in (w_state(3), random_mera(8, 2, 2, 5)):
+            save_state(state, good)
+            assert gc.isenabled() is enabled
+            load_state(good)
+            assert gc.isenabled() is enabled
         for path in (bad, broken):
             with pytest.raises(ValueError):
                 load_state(path)
@@ -254,3 +277,26 @@ def test_random_tensors_round_trip_bit_for_bit(seed, rows, cols):
     back = tensor_from_obj(json.loads(text))
     assert back.shape == arr.shape
     assert np.abs(back - arr).max() == 0.0
+
+
+# few values, so they repeat: signed zeros, subnormals, both ends of the
+# normal range, and short and long reprs
+_POOL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+         1.7976931348623157e308, -1.0, 0.1, 1 / 3]
+
+
+@given(
+    shape=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=3),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_saved_files_round_trip_every_bit(tmp_path_factory, shape, data):
+    size = int(np.prod(shape))
+    parts = data.draw(st.lists(st.sampled_from(_POOL), min_size=2 * size, max_size=2 * size))
+    arr = np.array(parts, dtype=np.float64).view(np.complex128).reshape(shape)
+    path = tmp_path_factory.mktemp("bits") / "state.json"
+    save_state(DenseTensor(arr), path)
+    back = load_state(path).array
+    assert back.shape == arr.shape
+    # == would take -0.0 for 0.0; the bit patterns do not
+    assert np.array_equal(back.view(np.uint64), arr.view(np.uint64))
