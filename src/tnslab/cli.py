@@ -102,6 +102,10 @@ def _need(ns, *names):
             raise _UsageError(f"{flag} is required here")
 
 
+def _given(value, default):
+    return default if value is None else value  # 0 is a value; the library may refuse it
+
+
 def _state_vector(state) -> np.ndarray:
     if isinstance(state, DenseTensor):
         return np.asarray(as_array(state)).ravel()
@@ -118,7 +122,7 @@ def _build_family(ns):
     fam = ns.family
     if fam == "w":
         _need(ns, "n")
-        return w_state(ns.n, ns.d or 2)
+        return w_state(ns.n, _given(ns.d, 2))
     if fam == "psi_w":
         _need(ns, "n", "eps")
         return psi_w(ns.n, ns.eps)
@@ -139,7 +143,7 @@ def _build_family(ns):
         return ti_mps(aklt_tensor(), ns.n)
     if fam == "mera":
         _need(ns, "n", "m")
-        return random_mera(ns.n, ns.m, ns.d or 2, ns.seed or 0)
+        return random_mera(ns.n, ns.m, _given(ns.d, 2), _given(ns.seed, 0))
     raise _UsageError(f"unknown family {fam!r}")
 
 
@@ -191,7 +195,7 @@ def _check_isometry(state, tol):
 def _cmd_certify(ns) -> int:
     _need(ns, "input")
     state = load_state(ns.input)
-    tol = ns.tol if ns.tol is not None else DEFAULT_TOL
+    tol = _given(ns.tol, DEFAULT_TOL)
     names = [c.strip() for c in (ns.checks or "wellformed").split(",") if c.strip()]
     rows = []
     all_ok = True
@@ -223,12 +227,14 @@ def _cmd_schmidt(ns) -> int:
     if ns.dims:
         dims = [int(x) for x in ns.dims.split(",")]
     else:
-        d = ns.d or 2
+        d = _given(ns.d, 2)
+        if d < 2:
+            raise ValueError(f"--d must be at least 2, got {d}")
         n = round(math.log(vec.size, d))
         if d ** n != vec.size:
             raise ValueError("state size is not a power of --d; pass --dims")
         dims = [d] * n
-    tol = ns.tol if ns.tol is not None else DEFAULT_TOL
+    tol = _given(ns.tol, DEFAULT_TOL)
     if ns.cut is not None:
         profile = [schmidt(vec, dims, ns.cut, tol)]
     else:
@@ -261,7 +267,7 @@ def _cmd_injectivity(ns) -> int:
     a = _ti_site_tensor(ns)
     d, m, _ = a.shape
     bound = wielandt_bound(m)
-    cap = ns.max_len or bound
+    cap = _given(ns.max_len, bound)
     ell = injectivity_length(a, cap)
     # primitivity is defined for isometric tensors; tensors isometric up to a
     # scalar are rescaled first, anything else reports an empty column
@@ -288,8 +294,8 @@ def _cmd_injectivity(ns) -> int:
 
 def _cmd_geometry(ns) -> int:
     _need(ns, "state", "n", "m")
-    tol = ns.tol if ns.tol is not None else DEFAULT_TOL
-    rep = geometry_report(ns.state, ns.n, ns.m, tol=tol, seed=ns.seed or 0)
+    tol = _given(ns.tol, DEFAULT_TOL)
+    rep = geometry_report(ns.state, ns.n, ns.m, tol=tol, seed=_given(ns.seed, 0))
     rows = [(ns.state, ns.n, ns.m, rep.predicted, rep.measured, rep.match)]
     _write_csv(ns.out, ["state", "N", "m", "predicted", "measured", "match"], rows)
     return 0
@@ -298,7 +304,7 @@ def _cmd_geometry(ns) -> int:
 # ----------------------------------------------------------------- optimize
 
 def _random_params(ns, rng):
-    n, m, d = ns.n, ns.m, ns.d or 2
+    n, m, d = ns.n, ns.m, _given(ns.d, 2)
     if ns.set == "obc":
         tensors = []
         for i in range(n):
@@ -345,14 +351,14 @@ def _cmd_optimize(ns) -> int:
     _need(ns, "set", "n", "m")
     if ns.set not in ("obc", "pbc", "ti"):
         raise _UsageError("--set must be obc, pbc, or ti")
-    lam = ns.lam if ns.lam is not None else 0.0
+    lam = _given(ns.lam, 0.0)
     reg = ns.reg or "none"
     kind = ns.objective or "distance"
     if kind == "distance":  # the target is always the W state
-        obj = distance_objective(w_state(ns.n, ns.d or 2), reg, lam)
+        obj = distance_objective(w_state(ns.n, _given(ns.d, 2)), reg, lam)
     elif kind == "energy":
-        theta = ns.theta if ns.theta is not None else 0.0
-        if (ns.d or 3) != 3:
+        theta = _given(ns.theta, 0.0)
+        if _given(ns.d, 3) != 3:
             raise ValueError("energy objective uses spin-1 sites; --d must be 3")
         ns.d = 3
         obj = energy_objective(
@@ -360,10 +366,10 @@ def _cmd_optimize(ns) -> int:
         )
     else:
         raise _UsageError("--objective must be distance or energy")
-    rng = np.random.default_rng(ns.seed or 0)
+    rng = np.random.default_rng(_given(ns.seed, 0))
     init = _initial_params(ns, rng)
-    budget = ns.budget or 100
-    threshold = DEFAULT_DIVERGENCE if ns.divergence_threshold is None else ns.divergence_threshold
+    budget = _given(ns.budget, 100)
+    threshold = _given(ns.divergence_threshold, DEFAULT_DIVERGENCE)
     trace = run_experiment(obj, init, budget, threshold)
     header = [f.name for f in fields(TraceRecord)]  # one column per record field
     rows = []

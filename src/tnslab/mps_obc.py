@@ -1,5 +1,5 @@
-"""Open-boundary MPS: state conversion by sweeps of leg splits, right-canonical
-form, Schmidt data, and bond gauge transformations."""
+"""Open-boundary MPS: state conversion and right-canonical form (the tree
+sweeps of `ttns` on a path), Schmidt data, and bond gauge transformations."""
 from __future__ import annotations
 
 import math
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, DimensionMismatchError, InvertibilityError, RankError
+from .errors import CapacityError, DimensionMismatchError, InvertibilityError
 from .tensors import (
     DEFAULT_TOL,
     GAUGE_COND_MAX,
@@ -16,11 +16,9 @@ from .tensors import (
     _rank_from_singulars,
     as_array,
     check_capacity,
-    check_normalized,
-    check_state,
     contract_network,
-    split_leg,
 )
+from .ttns import TreeNetwork, Ttns, from_state_ttns, orthonormalize_ttns
 
 
 class MpsObc:
@@ -103,52 +101,46 @@ def eval_obc(mps: MpsObc) -> DenseTensor:
     return DenseTensor(contract_network(*mps.tensor_network()))
 
 
-def from_state_obc(psi, dims, max_bond: int | None = None) -> MpsObc:
-    """Exact MPS from a state tensor by a right-to-left sweep of leg splits.
+def _to_path(mps: MpsObc) -> Ttns:
+    """A chain as a tree on its path: the dimension-1 boundary bonds dropped."""
+    ts = list(mps.tensors)
+    ts[0] = ts[0].reshape(ts[0].shape[:1] + ts[0].shape[2:])  # (d, right)
+    ts[-1] = ts[-1].reshape(ts[-1].shape[:-1])  # (d, left); (d,) for one site
+    edges = [(i, i + 1, m) for i, m in enumerate(mps.bond_dims, 1)]
+    return Ttns(TreeNetwork(mps.site_dims, edges), ts)
 
-    Every interior bond dimension comes out equal to the Schmidt rank of the
-    corresponding cut; there is no truncation (max_bond below a rank raises).
+
+def _to_chain(t: Ttns) -> MpsObc:
+    """A tree on the path 1-2-...-N as a chain: the boundary bonds restored."""
+    ts = list(t.tensors)
+    ts[0] = ts[0].reshape(ts[0].shape[0], 1, -1)
+    ts[-1] = ts[-1].reshape(ts[-1].shape[0], -1, 1)
+    return MpsObc(ts)
+
+
+def from_state_obc(psi, dims, max_bond: int | None = None) -> MpsObc:
+    """Exact MPS from a state tensor: `from_state_ttns` on the path 1-2-...-N
+    rooted at site 1.  Every interior bond dimension comes out equal to the
+    Schmidt rank of its cut; there is no truncation (a rank above max_bond
+    raises RankError; None allows any rank).
     """
     dims = [int(d) for d in dims]
-    check_state(math.prod(dims))
-    arr = as_array(psi).reshape(tuple(dims))
-    check_normalized(arr)
-    n = len(dims)
-    tensors: list[DenseTensor | None] = [None] * n
-    mat = arr.reshape(-1, 1)
-    for i in range(n - 1, 0, -1):
-        q, mat = split_leg(mat.reshape(-1, dims[i], mat.shape[1]), 0)
-        if max_bond is not None and q.shape[0] > max_bond:
-            raise RankError(
-                f"Schmidt rank {q.shape[0]} at cut {i} exceeds max_bond {max_bond}; "
-                "truncation is not supported"
-            )
-        tensors[i] = DenseTensor(q.transpose(1, 0, 2))
-    tensors[0] = DenseTensor(mat.reshape(1, dims[0], -1).transpose(1, 0, 2))
-    return MpsObc(tensors)
+    bond = math.prod(dims) if max_bond is None else max_bond
+    edges = [(i, i + 1, bond) for i in range(1, len(dims))]
+    return _to_chain(from_state_ttns(psi, TreeNetwork(dims, edges), 1))
 
 
 def right_canonicalize(mps: MpsObc) -> MpsObc:
     """Bring an MPS to right-canonical form (sum_s B^s B^s+ = identity).
 
-    A left-to-right pass of leg splits first makes every left block injective,
-    so the right-to-left pass lands on exact Schmidt ranks; padded bonds
-    collapse.  The state is normalized, and the global phase is fixed by making
-    the largest-magnitude amplitude real positive whenever `eval_obc` can
-    evaluate the full state under the capacity rule (`check_state`).
+    `orthonormalize_ttns` on the path rooted at site 1 sweeps left to right,
+    making every left block injective, then right to left, landing on exact
+    Schmidt ranks; padded bonds collapse.  The state is normalized, and the
+    global phase makes the largest-magnitude amplitude real positive whenever
+    `eval_obc` can evaluate the state under the capacity rule (`check_state`).
     """
-    n = len(mps)
-    # (left, physical, right) axes while sweeping
-    tensors = [as_array(t).transpose(1, 0, 2) for t in mps.tensors]
-    for i in range(n - 1):
-        tensors[i], r = split_leg(tensors[i], 2)
-        tensors[i + 1] = np.tensordot(r, tensors[i + 1], axes=([0], [0]))
-    for i in range(n - 1, -1, -1):
-        tensors[i], r = split_leg(tensors[i], 0)
-        if i > 0:
-            tensors[i - 1] = np.tensordot(tensors[i - 1], r, axes=([2], [0]))
-        # at i == 0 the 1x1 factor r holds norm and phase; both are dropped
-    out = [DenseTensor(t.transpose(1, 0, 2)) for t in tensors]
+    out = list(_to_chain(orthonormalize_ttns(_to_path(mps), 1)).tensors)
+    out[0] = DenseTensor(out[0].array / np.linalg.norm(out[0].array))
     try:
         vec = eval_obc(MpsObc(out)).array.ravel()
     except CapacityError:  # a state past the state cap keeps the phase the sweeps left

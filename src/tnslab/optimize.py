@@ -176,9 +176,6 @@ def _reg_term(obj: Objective, params, transfer_norm: float | None = None) -> flo
     arrs = _tensor_arrays(params)
     if obj.reg_kind == "tensor_norm":
         lams = _site_lambdas(obj, len(arrs))
-        if getattr(params, "translation_invariant", False):  # one shared tensor
-            sq = np.linalg.norm(arrs[0]) ** 2
-            return float(sum(l * sq for l in lams))
         return float(sum(l * np.linalg.norm(a) ** 2 for l, a in zip(lams, arrs)))
     nrm = _norm(_transfer_product(arrs)) if transfer_norm is None else transfer_norm
     return float(obj.reg_weight) * nrm * nrm

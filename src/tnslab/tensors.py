@@ -12,9 +12,9 @@ number; only problem-size limits (`geometry.MAX_*_PARAMS`) stay beside the
 code they limit.  No other module names the caps: `check_state` is the rule.
 
 `split_leg` cuts one leg of a tensor to the rank of the unfolding (that leg)
-x (all other legs), by a reduced RQ.  Every chain and tree decomposition
-sweep is a sequence of such leg splits, so their bond ranks are all decided
-here.
+x (all other legs), by a reduced RQ.  The decomposition sweeps of `ttns`,
+which open chains run on a path, are sequences of such leg splits, so their
+bond ranks are all decided here.
 
 `contract_network` contracts pairwise in a memoized plan.  Each step of a
 plan stores what `np.tensordot` would derive from the shapes on every call:

@@ -180,12 +180,15 @@ def from_state_ttns(psi, net: TreeNetwork, root: int) -> Ttns:
 def orthonormalize_ttns(t: Ttns, root: int) -> Ttns:
     """Isometric (orthonormal) form with respect to `root`.
 
-    Three sweeps of leg splits: leaves to root, root to leaves, leaves to
-    root.  Each split leaves a tensor orthonormal along the leg it cuts, and
-    the neighbour on that leg absorbs the factor.  The first sweep makes
-    every subtree map injective, the second does the same for the root
-    sides, so the final sweep lands on exact Schmidt ranks at every edge.  All non-root tensors end up isometric with their root-directed
-    edge as rows; the root tensor absorbs the remaining norm and phase.
+    Sweeps of leg splits: leaves to root, root to leaves, leaves to root.
+    Each split leaves a tensor orthonormal along the leg it cuts, and the
+    neighbour on that leg absorbs the factor.  The first sweep makes every
+    subtree map injective, so the second makes every root side injective and
+    the final sweep lands on exact Schmidt ranks at every edge.  On a path
+    (an open chain) a root side has no sibling subtree and the second sweep
+    alone makes it injective, so the first runs only when some vertex has
+    two children.  All non-root tensors end up isometric with their
+    root-directed edge as rows; the root tensor takes the norm and phase.
     """
     net = t.network
     if net.n == 1:
@@ -208,8 +211,9 @@ def orthonormalize_ttns(t: Ttns, root: int) -> Ttns:
         arrs[nb] = np.moveaxis(np.tensordot(arrs[nb], r, axes=([ax], [0])), -1, ax)
         dims[_edge_key(v, nb)] = r.shape[1]
 
-    for v in _visit_order(net, root, outward=False):
-        toward(v, parent[v])
+    if any(net.degree(v) > 2 for v in parent):  # a vertex with two children
+        for v in _visit_order(net, root, outward=False):
+            toward(v, parent[v])
     for v in [root] + _visit_order(net, root, outward=True):
         for c in sorted(nb for nb in net.neighbors(v) if nb != parent.get(v)):
             toward(v, c)

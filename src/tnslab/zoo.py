@@ -208,7 +208,6 @@ def fine_grain_A(alpha: float, beta: float, spec: FineGrainSpec):
     legs whose product is diagonal with value s_1 = m*beta + alpha - beta on
     the all-zero string and alpha - beta elsewhere.
     """
-    p = len(spec.factors)
     m = spec.m
     s1 = m * beta + alpha - beta
     t = alpha - beta

@@ -12,7 +12,7 @@ from tnslab import cli
 from tnslab.cli import main
 from tnslab.mps_obc import right_canonicalize
 from tnslab.serialize import load_state, save_state
-from tnslab.zoo import w_obc_mps
+from tnslab.zoo import aklt_tensor, psi_w_timps_tensor, w_obc_mps
 
 from helpers import w_max_entry_formula, w_overlap_formula
 
@@ -386,6 +386,86 @@ def test_usage_errors_exit_64(tmp_path, capsys):
 def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, capsys, args):
     assert main(args + ["--out", str(tmp_path / "out")]) == 64
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["schmidt", "--d", "0"], "--d must be at least 2, got 0"),
+        (["schmidt", "--d", "1"], "--d must be at least 2, got 1"),
+        (["injectivity", "--family", "aklt", "--max-len", "0"], "ell_max must be at least 1"),
+        (["optimize", "--set", "ti", "--n", "4", "--m", "2", "--budget", "0"], "budget must be at least 1"),
+        (["construct", "--family", "w", "--n", "3", "--d", "0"], "w_state needs d >= 2"),
+    ],
+    ids=["schmidt-d0", "schmidt-d1", "injectivity-max-len0", "optimize-budget0", "construct-d0"],
+)
+def test_zero_valued_flags_are_values_not_defaults(tmp_path, capsys, args, message):
+    # a flag given as 0 (or 1) reaches the check that refuses it instead of
+    # falling back to the flag's default
+    state = tmp_path / "w.json"
+    assert main(["construct", "--family", "w", "--n", "4", "--out", str(state)]) == 0
+    extra = ["--input", str(state)] if args[0] == "schmidt" else []
+    out = tmp_path / "out.json"
+    assert main(args + extra + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, site",
+    [
+        (["--objective", "energy", "--init", "aklt", "--set", "ti"], aklt_tensor()),
+        (["--objective", "energy", "--init", "aklt", "--set", "pbc"], aklt_tensor()),
+        (["--init", "psi_w_ti", "--eps", "0.5", "--set", "pbc"], psi_w_timps_tensor(4, 0.5)),
+    ],
+    ids=["aklt-ti", "aklt-pbc", "psi_w_ti-pbc"],
+)
+def test_optimize_named_starts(tmp_path, capsys, args, site):
+    report = tmp_path / "trace.csv"
+    argv = ["optimize", *args, "--n", "4", "--m", "2", "--budget", "3", "--out", str(report)]
+    assert main(argv) == 0
+    _, rows = _read_csv(report)
+    # the first record is the named start: every site holds its tensor
+    assert json.loads(rows[0][5]) == [float(np.linalg.norm(site.array))] * 4
+    capsys.readouterr()
+
+
+def test_optimize_named_start_on_an_open_chain_exits_two(tmp_path, capsys):
+    argv = ["optimize", "--init", "aklt", "--set", "obc", "--n", "4", "--m", "2"]
+    assert main(argv + ["--out", str(tmp_path / "trace.csv")]) == 2
+    assert capsys.readouterr().err.strip() == "error: init aklt needs --set ti or pbc"
+
+
+def test_injectivity_of_a_saved_ti_mps(tmp_path, capsys):
+    state = tmp_path / "aklt.json"
+    assert main(["construct", "--family", "aklt", "--n", "4", "--out", str(state)]) == 0
+    report = tmp_path / "inj.csv"
+    assert main(["injectivity", "--input", str(state), "--out", str(report)]) == 0
+    assert _read_csv(report)[1][0] == ["3", "2", "56", "2", "true"]
+    w = tmp_path / "w.json"
+    assert main(["construct", "--family", "w", "--n", "4", "--out", str(w)]) == 0
+    capsys.readouterr()
+    assert main(["injectivity", "--input", str(w), "--out", str(report)]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: injectivity needs a translation-invariant mps_pbc"
+    )
+
+
+def test_schmidt_dims_flag_and_sizes_that_are_not_powers(tmp_path, capsys):
+    state = tmp_path / "two.json"
+    argv = ["construct", "--family", "two_domain", "--n", "4", "--m", "2", "--out", str(state)]
+    assert main(argv) == 0
+    by_dims = tmp_path / "dims.csv"
+    by_d = tmp_path / "d.csv"
+    assert main(["schmidt", "--input", str(state), "--dims", "4,4,4,4", "--out", str(by_dims)]) == 0
+    assert main(["schmidt", "--input", str(state), "--d", "4", "--out", str(by_d)]) == 0
+    assert _read_csv(by_dims)[1] == _read_csv(by_d)[1]
+    assert len(_read_csv(by_dims)[1]) == 3
+    capsys.readouterr()
+    assert main(["schmidt", "--input", str(state), "--d", "3", "--out", str(by_d)]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "error: state size is not a power of --d; pass --dims"
+    )
 
 
 def test_validation_errors_exit_2(tmp_path, capsys):

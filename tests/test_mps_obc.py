@@ -18,7 +18,7 @@ from tnslab.mps_obc import (
     schmidt,
     schmidt_profile,
 )
-from tnslab.tensors import DEFAULT_TOL, WORKING_TOL
+from tnslab.tensors import DEFAULT_TOL, WORKING_TOL, reduced_rq
 from tnslab.zoo import psi_w, two_domain_state, w_state
 
 from helpers import bipartition_rank, fidelity, random_state
@@ -163,6 +163,18 @@ def test_right_canonicalize_phase_convention():
     assert amp_a[top].imag == pytest.approx(0.0, abs=1e-10)
     assert amp_a[top].real > 0
     assert np.abs(amp_a - amp_b).max() < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_right_canonicalize_takes_two_leg_splits_per_bond(monkeypatch, n):
+    # a chain is a path tree: no vertex has two children, so the tree code
+    # skips its first sweep and each bond is split once in each direction
+    calls = []
+    monkeypatch.setattr("tnslab.tensors.reduced_rq", lambda m: calls.append(1) or reduced_rq(m))
+    mps = _random_mps(np.random.default_rng(n), (2,) * n, (3,) * (n - 1))
+    canon = right_canonicalize(mps)
+    assert len(calls) == 2 * (n - 1)
+    assert fidelity(eval_obc(canon).array, eval_obc(mps).array) > 1 - 1e-12
 
 
 def test_canonical_entries_are_bounded_by_left_bond():

@@ -285,6 +285,73 @@ class TestCanonicalBlocks:
             assert fidelity(out, ref) > 1 - 1e-12
 
 
+def _direct_sum(*tensors):
+    d = tensors[0].shape[0]
+    out = np.zeros((d,) + (sum(t.shape[1] for t in tensors),) * 2, dtype=complex)
+    at = 0
+    for t in tensors:
+        m = t.shape[1]
+        out[:, at : at + m, at : at + m] = t
+        at += m
+    return out
+
+
+def _similar_pair():
+    # B and g B g^-1 generate the same ring states, so their channels share
+    # the unit eigenvalue twice
+    rng = np.random.default_rng(33)
+    b = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    return _direct_sum(b, np.einsum("ij,sjk,kl->sil", g, b, np.linalg.inv(g)))
+
+
+@pytest.mark.parametrize(
+    "a, dims",
+    [
+        (_direct_sum(aklt_tensor().array, aklt_tensor().array), (2, 2)),
+        (_direct_sum(*[aklt_tensor().array] * 3), (2, 2, 2)),
+        (_similar_pair(), (2, 2)),
+    ],
+    ids=["aklt+aklt", "aklt+aklt+aklt", "b+gbg^-1"],
+)
+def test_equal_weight_sums_project_through_the_sylvester_step(monkeypatch, a, dims):
+    # equal weights put several eigenvalues in the unit cluster next to the
+    # rest of the spectrum, so the cluster projector solves a Sylvester
+    # equation; its result is the spectral projection of the identity, which
+    # an eigendecomposition gives independently
+    solves, errors = [], []
+    solve = mps_pbc.scipy.linalg.solve_sylvester
+    project = mps_pbc._cluster_projector_on_identity
+
+    def spy_solve(*args):
+        solves.append(1)
+        return solve(*args)
+
+    def spy_project(kmat, m):
+        x = project(kmat, m)
+        w, v = np.linalg.eig(kmat)
+        unit = np.abs(w - 1.0) < 1e-6
+        want = (v[:, unit] @ np.linalg.inv(v)[unit] @ np.eye(m).ravel()).reshape(m, m)
+        want = want + want.conj().T
+        errors.append(np.abs(x - want / np.linalg.norm(want)).max())
+        return x
+
+    monkeypatch.setattr(mps_pbc.scipy.linalg, "solve_sylvester", spy_solve)
+    monkeypatch.setattr(mps_pbc, "_cluster_projector_on_identity", spy_project)
+    blocks = ti_canonical_blocks(a)
+    assert solves and errors and max(errors) < 1e-10
+    assert blocks.block_dims == dims
+    assert tuple(alpha for alpha, _ in blocks.blocks) == pytest.approx((1.0,) * len(dims), abs=1e-8)
+    for _, t in blocks.blocks:
+        arr = t.array
+        gram = sum(arr[s] @ arr[s].conj().T for s in range(arr.shape[0]))
+        assert np.abs(gram - np.eye(arr.shape[1])).max() < 1e-10
+    for n in range(2, 7):
+        out = eval_pbc(ti_mps(blocks.tensor().array, n)).array
+        ref = eval_pbc(ti_mps(a, n)).array
+        assert fidelity(out, ref) > 1 - 1e-10
+
+
 def test_trace_consistency_between_eval_and_transfer():
     rng = np.random.default_rng(32)
     for _ in range(10):

@@ -66,3 +66,20 @@ def test_the_capacity_rule_is_decided_only_in_tensors():
                 if name in ("DEFAULT_EVAL_CAP", "DEFAULT_CAPACITY_CAP"):
                     found.append(f"{path.name}:{getattr(node, 'lineno', '?')} {name}")
     assert list(SRC.glob("*.py")) and not found
+
+
+def test_only_ttns_runs_decomposition_sweeps():
+    # an open chain is a tree on a path, so the tree sweeps in ttns.py are the
+    # one decomposition implementation; a split_leg call elsewhere would be a
+    # second sweep deciding bond ranks
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "ttns.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "id", None) or getattr(func, "attr", None)
+                    if name == "split_leg":
+                        found.append(f"{path.name}:{node.lineno}")
+    assert list(SRC.glob("*.py")) and not found

@@ -173,6 +173,21 @@ def test_orthonormalize_twice_is_stable_and_collapses_padding():
     assert chain_dims == from_state_obc(psi, (2,) * 4).bond_dims
 
 
+def test_orthonormalize_branching_tree_reaches_schmidt_ranks_through_siblings():
+    # vertex 2 passes leg 3 straight to leg 4, and leaf 4 keeps one direction
+    # of that leg: the state is a product, so edge (2, 3) has Schmidt rank 1.
+    # Only a leaves-to-root sweep before the root-to-leaves one sees that the
+    # sibling subtree at 4 is not injective.
+    net = TreeNetwork((2, 1, 2, 2), [(1, 2, 1), (2, 3, 2), (2, 4, 2)])
+    leaf4 = np.outer([0.6, 0.8], [1.0, 0.0])
+    t = Ttns(net, [[[1.0], [0.0]], np.eye(2).reshape(1, 1, 2, 2), np.eye(2), leaf4])
+    psi = eval_ttns(t).array
+    canon = orthonormalize_ttns(t, root=1)
+    assert fidelity(eval_ttns(canon).array, psi) > 1 - 1e-12
+    for i, j, m in canon.network.edges:
+        assert m == bipartition_rank(psi.ravel(), net.dims, _edge_partition(net, i, j)) == 1
+
+
 def test_network_validation():
     with pytest.raises(ValueError):
         TreeNetwork((2, 2, 2), [(1, 2, 2)])  # disconnected: missing an edge
