@@ -196,7 +196,9 @@ def _cmd_certify(ns) -> int:
     _need(ns, "input")
     state = load_state(ns.input)
     tol = _given(ns.tol, DEFAULT_TOL)
-    names = [c.strip() for c in (ns.checks or "wellformed").split(",") if c.strip()]
+    names = [c.strip() for c in _given(ns.checks, "wellformed").split(",") if c.strip()]
+    if not names:
+        raise ValueError(f"--checks {ns.checks!r} names no check")
     rows = []
     all_ok = True
     for name in names:

@@ -1,4 +1,5 @@
-"""PEPS on small loopy graphs: exact greedy contraction, the entangled-pair
+"""PEPS on small graphs: the one graph container, which `ttns` extends to
+trees (graphs without loops), exact greedy contraction, the entangled-pair
 state, the loop-embedded two-domain family, and reduced-density-matrix checks.
 
 Edges are identified by their index in the network's edge list (parallel edges
@@ -15,69 +16,65 @@ from .errors import DimensionMismatchError, NormalizationError
 from .tensors import DenseTensor, as_array, contract_network
 
 
-def parse_graph(dims, edges):
-    """Check a connected graph on vertices 1..N; return its site dims, its
-    edges as (i, j, m) with i < j, and each vertex's incident edge ids sorted
-    by (neighbor id, edge id)."""
-    dims = tuple(int(d) for d in dims)
-    n = len(dims)
-    if n < 1 or any(d < 1 for d in dims):
-        raise ValueError("site dimensions must be positive")
-    es = []
-    inc: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, n + 1)}
-    for e in edges:
-        i, j, m = (int(x) for x in e)
-        if not (1 <= i <= n and 1 <= j <= n) or i == j:
-            raise ValueError(f"bad edge ({i},{j}) for {n} vertices")
-        if m < 1:
-            raise ValueError("bond dimensions must be at least 1")
-        inc[i].append((j, len(es)))
-        inc[j].append((i, len(es)))
-        es.append((min(i, j), max(i, j), m))
-    seen = {1}
-    frontier = [1]
-    while frontier:
-        for w, _ in inc[frontier.pop()]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    if len(seen) != n:
-        raise ValueError("edge list does not connect all vertices")
-    incidence = {v: tuple(idx for _, idx in sorted(p)) for v, p in inc.items()}
-    return dims, tuple(es), incidence
-
-
 class PepsNetwork:
-    """Connected graph with site dims per vertex and bond dims per edge."""
+    """Connected graph on vertices 1..N with site dims per vertex and bond
+    dims per edge; edges are kept as (i, j, m) with i < j."""
 
     __slots__ = ("dims", "edges", "_incidence")
 
     def __init__(self, dims, edges):
-        self.dims, self.edges, self._incidence = parse_graph(dims, edges)
+        dims = tuple(int(d) for d in dims)
+        n = len(dims)
+        if n < 1 or any(d < 1 for d in dims):
+            raise ValueError("site dimensions must be positive")
+        es = []
+        inc: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, n + 1)}
+        for e in edges:
+            i, j, m = (int(x) for x in e)
+            if not (1 <= i <= n and 1 <= j <= n) or i == j:
+                raise ValueError(f"bad edge ({i},{j}) for {n} vertices")
+            if m < 1:
+                raise ValueError("bond dimensions must be at least 1")
+            inc[i].append((j, len(es)))
+            inc[j].append((i, len(es)))
+            es.append((min(i, j), max(i, j), m))
+        seen = {1}
+        frontier = [1]
+        while frontier:
+            for w, _ in inc[frontier.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+        if len(seen) != n:
+            raise ValueError("edge list does not connect all vertices")
+        self.dims, self.edges = dims, tuple(es)
+        self._incidence = {v: tuple(idx for _, idx in sorted(p)) for v, p in inc.items()}
 
     @property
     def n(self) -> int:
         return len(self.dims)
 
     def incident(self, v: int) -> tuple[int, ...]:
+        """Edge ids at v, sorted by (neighbor id, edge id)."""
         return self._incidence[v]
+
+    def neighbors(self, v: int) -> tuple[int, ...]:
+        """The neighbor across each incident edge, in `incident` order."""
+        return tuple(sum(self.edges[k][:2]) - v for k in self._incidence[v])
 
     def edge_endpoints(self, idx: int) -> tuple[int, int]:
         i, j, _ = self.edges[idx]
         return i, j
 
-    def edge_dim(self, idx: int) -> int:
-        return self.edges[idx][2]
-
     def bond_dims_at(self, v: int) -> tuple[int, ...]:
-        return tuple(self.edge_dim(idx) for idx in self.incident(v))
+        return tuple(self.edges[idx][2] for idx in self.incident(v))
 
     def edges_between(self, a: int, b: int) -> list[int]:
         key = (min(a, b), max(a, b))
         return [idx for idx, (i, j, _) in enumerate(self.edges) if (i, j) == key]
 
     def __repr__(self) -> str:
-        return f"PepsNetwork(dims={self.dims}, edges={self.edges})"
+        return f"{type(self).__name__}(dims={self.dims}, edges={self.edges})"
 
 
 class Peps:
@@ -104,15 +101,16 @@ class Peps:
         return self.tensors[v - 1]
 
     def tensor_network(self):
-        return graph_network(self.network, self.tensors)
+        """Arrays, axis labels and open legs for `contract_network`: vertex
+        v's physical leg is v - 1, edge k is n + k."""
+        n = self.network.n
+        labels = [
+            (v - 1,) + tuple(n + k for k in self.network.incident(v)) for v in range(1, n + 1)
+        ]
+        return [t.array for t in self.tensors], labels, tuple(range(n))
 
-
-def graph_network(net, tensors):
-    """Arrays, axis labels and open legs of a tree or graph state for
-    `contract_network`: vertex v's physical leg is v - 1, edge k is n + k."""
-    n = net.n
-    labels = [(v - 1,) + tuple(n + k for k in net.incident(v)) for v in range(1, n + 1)]
-    return [t.array for t in tensors], labels, tuple(range(n))
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.network.n}, dims={self.network.dims})"
 
 
 def eval_peps(p: Peps) -> DenseTensor:
@@ -152,7 +150,7 @@ def _loop_edges(net: PepsNetwork, loop) -> tuple[list[int], list[int], int]:
         if not cands:
             raise ValueError(f"loop step ({a},{b}) is not an edge of the network")
         eids.append(cands[0])
-    ms = {net.edge_dim(idx) for idx in eids}
+    ms = {net.edges[idx][2] for idx in eids}
     if len(ms) != 1:
         raise ValueError("all loop edges must share one bond dimension")
     return vs, eids, ms.pop()
@@ -251,10 +249,6 @@ def state_site_rho(psi, dims, vertex: int) -> DenseTensor:
     if tr <= 0.0:
         raise NormalizationError("zero state has no density matrix")
     return DenseTensor(rho / tr)
-
-
-def single_site_rho(p: Peps, vertex: int) -> DenseTensor:
-    return state_site_rho(eval_peps(p), p.network.dims, vertex)
 
 
 def ring_network(n: int, m: int) -> PepsNetwork:

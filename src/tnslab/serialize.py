@@ -82,7 +82,7 @@ def _layout(state, leaf) -> dict:
             "translation_invariant": bool(state.translation_invariant),
             "tensors": [leaf(t) for t in state.tensors],
         }
-    if isinstance(state, (Ttns, Peps)):
+    if isinstance(state, Peps):
         net = state.network
         return {
             "kind": "ttns" if isinstance(state, Ttns) else "peps",

@@ -1,8 +1,8 @@
 """Dense complex tensors and the linear-algebra kernels used everywhere else.
 
 Everything downstream (MPS conversions, canonical forms, rank certification)
-reduces to four primitives on matrices: contraction, reduced RQ, SVD with a
-relative rank cutoff, and nullspace extraction.
+reduces to three primitives on matrices: contraction, reduced RQ, and SVD
+with a relative rank cutoff.
 
 The tolerance block below is the one place where the library's tolerances
 are defined: rank cuts, canonical-block tolerances, input checks and
@@ -320,15 +320,6 @@ def matrix_rank(m, tol: float = DEFAULT_TOL) -> int:
     mat = _as_matrix(m)
     s = np.linalg.svd(mat, compute_uv=False)
     return _rank_from_singulars(s, tol)
-
-
-def nullspace(m) -> DenseTensor:
-    """Orthonormal columns spanning the (right) kernel of a k-by-n matrix."""
-    mat = _as_matrix(m)
-    _, n = mat.shape
-    u, s, vh = np.linalg.svd(mat, full_matrices=True)
-    rank = _rank_from_singulars(s, DEFAULT_TOL)
-    return DenseTensor(vh[rank:].conj().T.reshape(n, n - rank))
 
 
 def reduced_rq(m) -> tuple[DenseTensor, DenseTensor]:

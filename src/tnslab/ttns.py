@@ -1,5 +1,8 @@
 """Tree tensor network states: evaluation, decomposition of a dense state by
-root-directed sweeps of leg splits, and the orthonormal (isometric) form."""
+root-directed sweeps of leg splits, and the orthonormal (isometric) form.
+
+A tree network is a graph network without loops, so `TreeNetwork` and `Ttns`
+are `PepsNetwork` and `Peps` with the tree checks added."""
 from __future__ import annotations
 
 import math
@@ -7,8 +10,8 @@ from collections import deque
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NormalizationError, RankError
-from .peps import graph_network, parse_graph
+from .errors import NormalizationError, RankError
+from .peps import Peps, PepsNetwork
 from .tensors import DenseTensor, as_array, check_normalized, check_state, contract_network, split_leg
 
 
@@ -16,31 +19,21 @@ def _edge_key(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
-class TreeNetwork:
-    """Connected loop-free graph on vertices 1..N with site and bond dims."""
+class TreeNetwork(PepsNetwork):
+    """Connected loop-free graph on vertices 1..N: a graph network with
+    N - 1 distinct edges."""
 
-    __slots__ = ("dims", "edges", "_incidence")
+    __slots__ = ()
 
     def __init__(self, dims, edges):
-        self.dims, self.edges, self._incidence = parse_graph(dims, edges)
-        n = len(self.dims)
+        super().__init__(dims, edges)
+        n = self.n
         if len({(i, j) for i, j, _ in self.edges}) != len(self.edges):
             raise ValueError("duplicate edge")
         if len(self.edges) != n - 1:
             raise ValueError(
                 f"a tree on {n} vertices needs {n - 1} edges, got {len(self.edges)}"
             )
-
-    @property
-    def n(self) -> int:
-        return len(self.dims)
-
-    def incident(self, v: int) -> tuple[int, ...]:
-        """Edge ids at v, sorted by neighbor id."""
-        return self._incidence[v]
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(sum(self.edges[k][:2]) - v for k in self._incidence[v])
 
     def degree(self, v: int) -> int:
         return len(self._incidence[v])
@@ -77,46 +70,20 @@ class TreeNetwork:
             parent[v] = min(w for w in self.neighbors(v) if dist[w] == dist[v] - 1)
         return parent
 
-    def __repr__(self) -> str:
-        return f"TreeNetwork(dims={self.dims}, edges={self.edges})"
 
-
-class Ttns:
-    """Tree tensor network state.
+class Ttns(Peps):
+    """Tree tensor network state: a PEPS on a `TreeNetwork`.
 
     Tensor axes per vertex: physical axis first, then one axis per incident
     edge, edges sorted by neighbor vertex id.
     """
 
-    __slots__ = ("network", "tensors")
+    __slots__ = ()
 
     def __init__(self, network: TreeNetwork, tensors):
-        ts = tuple(
-            t if isinstance(t, DenseTensor) else DenseTensor(t) for t in tensors
-        )
-        if len(ts) != network.n:
-            raise DimensionMismatchError(
-                f"need {network.n} tensors, got {len(ts)}"
-            )
-        for v in range(1, network.n + 1):
-            want = (network.dims[v - 1],) + tuple(
-                network.edge_dim(v, nb) for nb in network.neighbors(v)
-            )
-            if ts[v - 1].shape != want:
-                raise DimensionMismatchError(
-                    f"vertex {v} tensor shape {ts[v - 1].shape} != expected {want}"
-                )
-        self.network = network
-        self.tensors = ts
-
-    def tensor_at(self, v: int) -> DenseTensor:
-        return self.tensors[v - 1]
-
-    def tensor_network(self):
-        return graph_network(self.network, self.tensors)
-
-    def __repr__(self) -> str:
-        return f"Ttns(n={self.network.n}, dims={self.network.dims})"
+        if not isinstance(network, TreeNetwork):
+            raise TypeError(f"a Ttns needs a TreeNetwork, got {type(network).__name__}")
+        super().__init__(network, tensors)
 
 
 def eval_ttns(t: Ttns) -> DenseTensor:

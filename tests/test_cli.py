@@ -172,6 +172,25 @@ def test_certify_unknown_check_is_a_validation_error(tmp_path):
     assert main(["certify", "--input", str(out), "--checks", "unitary"]) == 2
 
 
+@pytest.mark.parametrize("checks", [",", " , ", ""])
+def test_certify_a_check_list_that_names_no_check_exits_two(tmp_path, capsys, checks):
+    out = tmp_path / "w.json"
+    main(["construct", "--family", "w", "--n", "3", "--out", str(out)])
+    report = tmp_path / "report.csv"
+    assert main(["certify", "--input", str(out), "--checks", checks, "--out", str(report)]) == 2
+    assert "names no check" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_certify_an_empty_check_list_from_a_config_exits_two(tmp_path, capsys):
+    out = tmp_path / "w.json"
+    main(["construct", "--family", "w", "--n", "3", "--out", str(out)])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"checks": ""}), encoding="utf-8")
+    assert main(["certify", "--input", str(out), "--config", str(cfg)]) == 2
+    assert "names no check" in capsys.readouterr().err
+
+
 def test_schmidt_profile_of_w4(tmp_path):
     state = tmp_path / "w.json"
     main(["construct", "--family", "w", "--n", "4", "--out", str(state)])

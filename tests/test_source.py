@@ -83,3 +83,22 @@ def test_only_ttns_runs_decomposition_sweeps():
                     if name == "split_leg":
                         found.append(f"{path.name}:{node.lineno}")
     assert list(SRC.glob("*.py")) and not found
+
+
+def test_the_public_names_are_listed_once_and_resolve():
+    # every public name __init__ imports is in __all__, once, and resolves, so
+    # a removed function cannot linger in the export list
+    import tnslab
+
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    }
+    listed = list(tnslab.__all__)
+    assert len(listed) == len(set(listed))
+    assert all(hasattr(tnslab, name) for name in listed)
+    assert imported and not imported - set(listed)

@@ -14,7 +14,6 @@ from tnslab.tensors import (
     check_capacity,
     contract,
     matrix_rank,
-    nullspace,
     reduced_qr,
     reduced_rq,
     split_leg,
@@ -77,16 +76,6 @@ def test_matrix_rank_relative_tolerance():
     assert matrix_rank(mat) == 2
     assert matrix_rank(mat, tol=1e-14) == 3
     assert matrix_rank(np.zeros((3, 3))) == 0
-
-
-def test_nullspace_annihilated_and_orthonormal():
-    rng = np.random.default_rng(2)
-    mat = rng.standard_normal((2, 5)) + 1j * rng.standard_normal((2, 5))
-    ker = nullspace(mat).array
-    assert ker.shape == (5, 3)
-    assert np.abs(mat @ ker).max() < 1e-12
-    gram = ker.conj().T @ ker
-    assert np.abs(gram - np.eye(3)).max() < 1e-12
 
 
 @given(

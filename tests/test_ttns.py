@@ -6,6 +6,7 @@ import pytest
 
 from tnslab.errors import DimensionMismatchError, RankError
 from tnslab.mps_obc import from_state_obc, right_canonicalize
+from tnslab.peps import Peps, PepsNetwork, eval_peps, ring_network
 from tnslab.ttns import (
     TreeNetwork,
     Ttns,
@@ -205,3 +206,34 @@ def test_tensor_shape_validation():
     net = TreeNetwork((2, 2), [(1, 2, 3)])
     with pytest.raises(DimensionMismatchError):
         Ttns(net, [np.ones((2, 3)), np.ones((2, 2))])
+
+
+def test_ttns_on_a_loopy_network_is_a_type_error():
+    net = ring_network(3, 2)
+    with pytest.raises(TypeError, match="TreeNetwork"):
+        Ttns(net, [np.ones((4, 2, 2))] * 3)
+
+
+def test_a_ttns_is_a_peps_and_evaluates_as_one():
+    # a tree network is a graph network without loops
+    rng = np.random.default_rng(7)
+    net = TreeNetwork((2, 3, 2, 2, 3), [(1, 2, 2), (2, 3, 3), (2, 4, 2), (4, 5, 2)])
+    tensors = []
+    for v in range(1, net.n + 1):
+        shape = (net.dims[v - 1],) + net.bond_dims_at(v)
+        tensors.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    t = Ttns(net, tensors)
+    assert isinstance(net, PepsNetwork) and isinstance(t, Peps)
+    assert np.array_equal(eval_ttns(t).array, eval_peps(t).array)
+    assert repr(t) == "Ttns(n=5, dims=(2, 3, 2, 2, 3))"
+    assert repr(net).startswith("TreeNetwork(dims=(2, 3, 2, 2, 3), edges=((1, 2, 2),")
+
+
+def test_tree_neighbors_and_bond_dims_agree_with_edge_dim():
+    net = TreeNetwork((2,) * 6, [(3, 1, 2), (3, 6, 4), (3, 2, 3), (6, 5, 5), (6, 4, 1)])
+    assert net.neighbors(3) == (1, 2, 6)
+    assert net.neighbors(6) == (3, 4, 5)
+    for v in range(1, net.n + 1):
+        assert list(net.neighbors(v)) == sorted(net.neighbors(v))
+        assert net.bond_dims_at(v) == tuple(net.edge_dim(v, nb) for nb in net.neighbors(v))
+        assert net.degree(v) == len(net.neighbors(v))
