@@ -175,12 +175,13 @@ def _check_canonical(state, tol):
 
 
 def _check_ti(state, tol):
-    if not isinstance(state, MpsPbc):
+    if type(state) is not MpsPbc:  # an open chain is a ring too, but not an input here
         raise ValueError("check 'ti' applies to mps_pbc inputs")
     first = np.asarray(as_array(state.tensors[0]))
     worst = 0.0
     for t in state.tensors[1:]:
-        worst = max(worst, float(np.abs(np.asarray(as_array(t)) - first).max()))
+        a = np.asarray(as_array(t))
+        worst = max(worst, float(np.abs(a - first).max()) if a.shape == first.shape else math.inf)
     return worst, worst <= tol
 
 
@@ -307,25 +308,16 @@ def _cmd_geometry(ns) -> int:
 
 def _random_params(ns, rng):
     n, m, d = ns.n, ns.m, _given(ns.d, 2)
-    if ns.set == "obc":
-        tensors = []
-        for i in range(n):
-            ml = 1 if i == 0 else m
-            mr = 1 if i == n - 1 else m
-            tensors.append(
-                (rng.standard_normal((d, ml, mr)) + 1j * rng.standard_normal((d, ml, mr)))
-                / math.sqrt(d * m)
-            )
-        return MpsObc(tensors)
-    shape = (d, m, m)
+
+    def site(shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(d * m)
+
     if ns.set == "ti":
-        a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(d * m)
-        return MpsPbc([a] * n, translation_invariant=True)
-    tensors = [
-        (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / math.sqrt(d * m)
-        for _ in range(n)
-    ]
-    return MpsPbc(tensors, translation_invariant=False)
+        return MpsPbc([site((d, m, m))] * n, translation_invariant=True)
+    # site k has bonds (bonds[k], bonds[k + 1]); an open chain's two ends are 1
+    bonds = [1 if ns.set == "obc" and k in (0, n) else m for k in range(n + 1)]
+    tensors = [site((d, bonds[k], bonds[k + 1])) for k in range(n)]
+    return MpsObc(tensors) if ns.set == "obc" else MpsPbc(tensors)
 
 
 def _initial_params(ns, rng):
@@ -521,19 +513,29 @@ def _parse(argv):
     return ns
 
 
+# The JSON types a config value other than a string may have, by flag type.
+_CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number")}
+
+
 def _apply_config(sub, ns, cfg: dict) -> None:
     """Fill the flags the command line left unset (every flag defaults to
     None) from the config; a string is converted as argparse converts a
-    string default."""
+    string default, and any other value must have the flag's JSON type (a
+    bool is not an integer), else ValueError names the key."""
     for action in sub._actions:
         if action.dest not in cfg or getattr(ns, action.dest, None) is not None:
             continue
         val = cfg[action.dest]
+        kinds, name = _CONFIG_TYPES.get(action.type, ((), "a string"))
         if isinstance(val, str):
             try:
                 val = sub._get_value(action, val)
             except argparse.ArgumentError as exc:
                 sub.error(str(exc))
+        elif type(val) in kinds:
+            val = action.type(val)
+        else:
+            raise ValueError(f"config key {action.dest!r} must be {name}, got {json.dumps(val)}")
         setattr(ns, action.dest, val)
 
 

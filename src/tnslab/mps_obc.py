@@ -1,5 +1,7 @@
-"""Open-boundary MPS: state conversion and right-canonical form (the tree
-sweeps of `ttns` on a path), Schmidt data, and bond gauge transformations."""
+"""Open-boundary MPS, a ring whose closing bond has dimension 1 (`MpsObc`
+subclasses `mps_pbc.MpsPbc`): state conversion and right-canonical form (the
+tree sweeps of `ttns` on a path), Schmidt data, and bond gauge
+transformations."""
 from __future__ import annotations
 
 import math
@@ -8,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, DimensionMismatchError, InvertibilityError
+from .mps_pbc import MpsPbc
 from .tensors import (
     DEFAULT_TOL,
     GAUGE_COND_MAX,
@@ -21,70 +24,28 @@ from .tensors import (
 from .ttns import TreeNetwork, Ttns, from_state_ttns, orthonormalize_ttns
 
 
-class MpsObc:
+class MpsObc(MpsPbc):
     """Open-boundary MPS; tensor i has axes (physical d_i, left bond, right bond).
 
-    Boundary bonds are one-dimensional: the first tensor has left bond 1 and
-    the last has right bond 1.
+    A ring whose closing bond has dimension 1: the first tensor has left bond
+    1 and the last has right bond 1.
     """
 
-    __slots__ = ("tensors",)
+    __slots__ = ()
 
     def __init__(self, tensors):
-        ts = tuple(
-            t if isinstance(t, DenseTensor) else DenseTensor(t) for t in tensors
-        )
-        if not ts:
-            raise ValueError("an MPS needs at least one site")
-        for i, t in enumerate(ts):
-            if t.ndim != 3:
-                raise DimensionMismatchError(
-                    f"site {i} tensor has {t.ndim} axes, expected 3"
-                )
-        if ts[0].shape[1] != 1:
-            raise DimensionMismatchError("left boundary bond must have dimension 1")
-        if ts[-1].shape[2] != 1:
-            raise DimensionMismatchError("right boundary bond must have dimension 1")
-        for i in range(len(ts) - 1):
-            if ts[i].shape[2] != ts[i + 1].shape[1]:
-                raise DimensionMismatchError(
-                    f"bond between sites {i} and {i + 1} mismatches: "
-                    f"{ts[i].shape[2]} vs {ts[i + 1].shape[1]}"
-                )
-        self.tensors = ts
-
-    def __len__(self) -> int:
-        return len(self.tensors)
-
-    @property
-    def site_dims(self) -> tuple[int, ...]:
-        return tuple(t.shape[0] for t in self.tensors)
+        super().__init__(tensors)
+        # the closing bond is both the last right bond and the first left bond
+        if self.tensors[-1].shape[2] != 1:
+            raise DimensionMismatchError("boundary bonds must have dimension 1")
 
     @property
     def bond_dims(self) -> tuple[int, ...]:
         """Interior bond dimensions m_1 ... m_{N-1}."""
-        return tuple(t.shape[2] for t in self.tensors[:-1])
-
-    def tensor_network(self):
-        return chain_network(self.tensors)
+        return super().bond_dims[:-1]
 
     def __repr__(self) -> str:
         return f"MpsObc(site_dims={self.site_dims}, bond_dims={self.bond_dims})"
-
-
-def chain_network(tensors):
-    """Arrays, axis labels and open legs of a chain of (d, left, right) tensors
-    closed into a ring, for `contract_network`.
-
-    Site k has labels (k, n + k, n + (k + 1) % n): its physical leg, then its
-    left and right bonds.  An open chain's boundary bonds have dimension 1,
-    so closing it costs nothing.  A single site closes through an identity.
-    """
-    arrays = [as_array(t) for t in tensors]
-    n = len(arrays)
-    if n == 1:
-        return arrays + [np.eye(arrays[0].shape[1])], [(0, 1, 2), (2, 1)], (0,)
-    return arrays, [(k, n + k, n + (k + 1) % n) for k in range(n)], tuple(range(n))
 
 
 @dataclass(frozen=True)

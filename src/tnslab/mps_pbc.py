@@ -1,6 +1,8 @@
-"""Periodic-boundary MPS: trace evaluation, transfer matrices and channels,
-injectivity-length analysis, and the canonical block decomposition of a
-translation-invariant tensor.
+"""Periodic-boundary MPS, the one chain container: `MpsPbc` holds a ring of
+site tensors whose bond dimensions may differ from bond to bond, and an open
+chain (`mps_obc.MpsObc`) is a ring whose closing bond has dimension 1.  Trace
+evaluation, transfer matrices and channels, injectivity-length analysis, and
+the canonical block decomposition of a translation-invariant tensor.
 
 The canonical-blocks routine rescales the tensor to unit spectral radius,
 repeatedly splits the bond space along supports of positive fixed points of
@@ -21,7 +23,6 @@ from .errors import (
     DimensionMismatchError,
     NormalizationError,
 )
-from .mps_obc import chain_network
 from .tensors import (
     BASIS_TOL,
     BLOCK_TOL,
@@ -40,7 +41,12 @@ from .tensors import (
 
 
 class MpsPbc:
-    """Periodic MPS; every site tensor has shape (d_i, m, m) with one shared m."""
+    """Periodic MPS: a ring of site tensors shaped (d_i, m_{i-1}, m_i).
+
+    Each site's right bond matches the next site's left bond, and the last
+    site's right bond closes the ring on the first site's left bond, so the
+    bond dimensions may differ from bond to bond.
+    """
 
     __slots__ = ("tensors", "translation_invariant")
 
@@ -49,15 +55,19 @@ class MpsPbc:
             t if isinstance(t, DenseTensor) else DenseTensor(t) for t in tensors
         )
         if not ts:
-            raise ValueError("a periodic MPS needs at least one site")
+            raise ValueError("an MPS needs at least one site")
         for i, t in enumerate(ts):
-            if t.ndim != 3 or t.shape[1] != t.shape[2]:
+            if t.ndim != 3:
                 raise DimensionMismatchError(
-                    f"site {i} tensor must be shaped (d, m, m), got {t.shape}"
+                    f"site {i} tensor has {t.ndim} axes, expected 3"
                 )
-        m = ts[0].shape[1]
-        if any(t.shape[1] != m for t in ts):
-            raise DimensionMismatchError("all bond extents must equal one shared m")
+        for i, t in enumerate(ts):
+            j = (i + 1) % len(ts)
+            if t.shape[2] != ts[j].shape[1]:
+                raise DimensionMismatchError(
+                    f"bond between sites {i} and {j} mismatches: "
+                    f"{t.shape[2]} vs {ts[j].shape[1]}"
+                )
         if translation_invariant:
             first = ts[0].array
             for t in ts[1:]:
@@ -72,21 +82,37 @@ class MpsPbc:
         return len(self.tensors)
 
     @property
-    def bond_dim(self) -> int:
-        return self.tensors[0].shape[1]
-
-    @property
     def site_dims(self) -> tuple[int, ...]:
         return tuple(t.shape[0] for t in self.tensors)
+
+    @property
+    def bond_dims(self) -> tuple[int, ...]:
+        """Bond dimensions m_1 ... m_N; m_N closes the ring."""
+        return tuple(t.shape[2] for t in self.tensors)
 
     def tensor_network(self):
         return chain_network(self.tensors)
 
     def __repr__(self) -> str:
         return (
-            f"MpsPbc(site_dims={self.site_dims}, m={self.bond_dim}, "
+            f"MpsPbc(site_dims={self.site_dims}, bond_dims={self.bond_dims}, "
             f"translation_invariant={self.translation_invariant})"
         )
+
+
+def chain_network(tensors):
+    """Arrays, axis labels and open legs of a ring of (d, left, right)
+    tensors, for `contract_network`.
+
+    Site k has labels (k, n + k, n + (k + 1) % n): its physical leg, then its
+    left and right bonds.  An open chain's closing bond has dimension 1, so
+    closing it costs nothing.  A single site closes through an identity.
+    """
+    arrays = [as_array(t) for t in tensors]
+    n = len(arrays)
+    if n == 1:
+        return arrays + [np.eye(arrays[0].shape[1])], [(0, 1, 2), (2, 1)], (0,)
+    return arrays, [(k, n + k, n + (k + 1) % n) for k in range(n)], tuple(range(n))
 
 
 def ti_mps(a, n: int) -> MpsPbc:

@@ -17,8 +17,8 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NormalizationError, TnsError
-from .mps_obc import MpsObc, chain_network
-from .mps_pbc import MpsPbc, transfer_array
+from .mps_obc import MpsObc
+from .mps_pbc import MpsPbc, chain_network, transfer_array
 from .tensors import (
     DEFAULT_DIVERGENCE,
     GRAM_TOL,
@@ -73,7 +73,10 @@ class Objective:
         if self.reg_kind not in ("none", "tensor_norm", "transfer_product"):
             raise ValueError(f"unknown regularization {self.reg_kind!r}")
         w = self.reg_weight
-        if any(x < 0 for x in (w if isinstance(w, (tuple, list)) else (w,))):
+        per_site = isinstance(w, (tuple, list))
+        if per_site and self.reg_kind == "transfer_product":
+            raise ValueError("transfer_product takes one weight")
+        if any(x < 0 for x in (w if per_site else (w,))):
             raise ValueError("regularization weights must be nonnegative")
 
 
@@ -127,8 +130,7 @@ class _Point(NamedTuple):
 
 
 def _point(params) -> _Point:
-    ti = isinstance(params, MpsPbc) and params.translation_invariant
-    return _Point(_tensor_arrays(params), ti)
+    return _Point(_tensor_arrays(params), params.translation_invariant)
 
 
 def _with_site(params: _Point, site: int, arr: np.ndarray) -> _Point:

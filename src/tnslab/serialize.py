@@ -74,14 +74,13 @@ def _layout(state, leaf) -> dict:
     each tensor's place."""
     if isinstance(state, DenseTensor):
         return {"kind": "dense_state", "tensor": leaf(state)}
-    if isinstance(state, MpsObc):
-        return {"kind": "mps_obc", "tensors": [leaf(t) for t in state.tensors]}
     if isinstance(state, MpsPbc):
-        return {
-            "kind": "mps_pbc",
-            "translation_invariant": bool(state.translation_invariant),
-            "tensors": [leaf(t) for t in state.tensors],
-        }
+        head = (
+            {"kind": "mps_obc"}
+            if isinstance(state, MpsObc)
+            else {"kind": "mps_pbc", "translation_invariant": bool(state.translation_invariant)}
+        )
+        return {**head, "tensors": [leaf(t) for t in state.tensors]}
     if isinstance(state, Peps):
         net = state.network
         return {

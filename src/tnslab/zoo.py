@@ -12,8 +12,8 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .mps_obc import MpsObc, chain_network
-from .mps_pbc import MpsPbc
+from .mps_obc import MpsObc
+from .mps_pbc import MpsPbc, chain_network
 from .tensors import NOISE_TOL, DenseTensor, as_array, check_capacity, check_state, contract_network
 
 
@@ -294,7 +294,9 @@ def fine_grained_psi_tau(n: int, m: int, eps: float, spec: FineGrainSpec):
     physical leg carries one factor pair (x, y); grouping each run of p sites
     with block_cluster recovers the psi_tau_tensors site, with the blocked
     physical leg ordered (x_1, y_1, x_2, y_2, ...) where the coarse leg is
-    (x_1 x_2 ..., y_1 y_2 ...).  Returns the flat list of n*p tensors.
+    (x_1 x_2 ..., y_1 y_2 ...).  Returns the flat list of n*p tensors, a
+    valid `MpsPbc` ring whose bonds within a site are rectangular, so
+    `eval_pbc(MpsPbc(...))` evaluates the fine-grained state directly.
     """
     if spec.m != m:
         raise DimensionMismatchError(

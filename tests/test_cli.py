@@ -11,6 +11,7 @@ import pytest
 from tnslab import cli
 from tnslab.cli import main
 from tnslab.mps_obc import right_canonicalize
+from tnslab.mps_pbc import MpsPbc
 from tnslab.serialize import load_state, save_state
 from tnslab.zoo import aklt_tensor, psi_w_timps_tensor, w_obc_mps
 
@@ -97,6 +98,36 @@ def test_certify_failures_exit_two(tmp_path):
         ]
     )
     assert main(["certify", "--input", str(ring), "--checks", "ti"]) == 2
+
+
+@pytest.mark.parametrize(
+    "check,family,message",
+    [
+        ("canonical", ["aklt", "--n", "4"], "applies to mps_obc inputs"),
+        ("ti", ["w", "--n", "3"], "applies to mps_pbc inputs"),
+        ("ti", ["w_obc", "--n", "5"], "applies to mps_pbc inputs"),
+        ("isometry", ["w_obc", "--n", "5"], "applies to mera inputs"),
+    ],
+)
+def test_certify_refuses_a_check_that_does_not_apply(tmp_path, capsys, check, family, message):
+    # an open chain is a ring too, but 'ti' still refuses it
+    out = tmp_path / "state.json"
+    assert main(["construct", "--family", *family, "--out", str(out)]) == 0
+    report = tmp_path / "report.csv"
+    assert main(["certify", "--input", str(out), "--checks", check, "--out", str(report)]) == 2
+    assert message in capsys.readouterr().err
+    assert not report.exists()
+
+
+@pytest.mark.parametrize("shapes", [[(1, 2, 2), (2, 2, 2)], [(2, 2, 3), (2, 3, 2)]])
+def test_certify_ti_fails_on_sites_of_different_shapes(tmp_path, shapes):
+    # unequal shapes are a failed check, not a numpy broadcast
+    path = tmp_path / "ring.json"
+    save_state(MpsPbc([np.ones(s) for s in shapes]), path)
+    report = tmp_path / "report.csv"
+    assert main(["certify", "--input", str(path), "--checks", "ti", "--out", str(report)]) == 2
+    _, rows = _read_csv(report)
+    assert rows == [["ti", "inf", "false"]]
 
 
 @pytest.mark.parametrize("data", [[1.0, 2.0], [["a", 0], [1, 0]], [[True, 0], [1, 0]]])
@@ -542,6 +573,38 @@ def test_config_does_not_leak_into_later_calls(tmp_path, monkeypatch, capsys):
     cfg.write_text(json.dumps({"family": "w", "n": "four"}), encoding="utf-8")
     assert main(["construct", "--config", str(cfg)]) == 64
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command,cfg,key",
+    [
+        ("certify", {"checks": 5}, "checks"),
+        ("construct", {"family": "w", "n": 4.7}, "n"),
+        ("construct", {"family": "w", "n": True}, "n"),
+        ("certify", {"tol": [1]}, "tol"),
+    ],
+)
+def test_config_values_must_have_their_flags_json_type(tmp_path, capsys, command, cfg, key):
+    state = tmp_path / "w.json"
+    assert main(["construct", "--family", "w", "--n", "3", "--out", str(state)]) == 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path), "--out", str(out)]
+    assert main(argv + (["--input", str(state)] if command == "certify" else [])) == 2
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_takes_a_json_integer_for_a_float_flag(tmp_path, capsys):
+    state = tmp_path / "w.json"
+    assert main(["construct", "--family", "w", "--n", "3", "--out", str(state)]) == 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"tol": 1, "checks": "norm"}), encoding="utf-8")
+    report = tmp_path / "r.csv"
+    argv = ["certify", "--input", str(state), "--config", str(path), "--out", str(report)]
+    assert main(argv) == 0
+    assert type(cli._parse(argv).tol) is float
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from tnslab.errors import CapacityError
 from tnslab import tensors
-from tnslab.mps_obc import MpsObc, chain_network, eval_obc
-from tnslab.mps_pbc import MpsPbc, eval_pbc, ti_mps
+from tnslab.mps_obc import MpsObc, eval_obc
+from tnslab.mps_pbc import MpsPbc, chain_network, eval_pbc, ti_mps
 from tnslab.peps import Peps, PepsNetwork, eval_peps, mu_peps, ring_network
 from tnslab.tensors import contract_network, site_environment, site_matrix
 from tnslab.ttns import TreeNetwork, Ttns, eval_ttns

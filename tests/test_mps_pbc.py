@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from tnslab import mps_pbc
-from tnslab.errors import NormalizationError
+from tnslab.errors import DimensionMismatchError, NormalizationError
+from tnslab.mps_obc import MpsObc, eval_obc
 from tnslab.mps_pbc import (
     MpsPbc,
     block_tensor,
@@ -365,3 +366,69 @@ def test_trace_consistency_between_eval_and_transfer():
             prod = prod @ transfer_matrix(t.array).array
         want = np.trace(prod).real
         assert abs(norm_sq - want) < 1e-10 * max(1.0, abs(want))
+
+
+_CHAIN_REFUSALS = {
+    "no sites": (lambda: MpsPbc([]), ValueError, "an MPS needs at least one site"),
+    "2-axis tensor": (
+        lambda: MpsObc([np.ones((2, 1, 1)), np.ones((2, 1))]),
+        DimensionMismatchError,
+        "site 1 tensor has 2 axes, expected 3",
+    ),
+    "neighbouring bonds": (
+        lambda: MpsObc([np.ones((2, 1, 2)), np.ones((2, 3, 1))]),
+        DimensionMismatchError,
+        "bond between sites 0 and 1 mismatches: 2 vs 3",
+    ),
+    "closing bond": (
+        lambda: MpsPbc([np.ones((2, 2, 3)), np.ones((2, 3, 4))]),
+        DimensionMismatchError,
+        "bond between sites 1 and 0 mismatches: 4 vs 2",
+    ),
+    "open boundary bond 2": (
+        lambda: MpsObc([np.ones((2, 2, 3)), np.ones((2, 3, 2))]),
+        DimensionMismatchError,
+        "boundary bonds must have dimension 1",
+    ),
+    "unequal ti tensors": (
+        lambda: MpsPbc([np.ones((2, 2, 2)), np.zeros((2, 2, 2))], translation_invariant=True),
+        ValueError,
+        "translation_invariant requires identical site tensors",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CHAIN_REFUSALS))
+def test_chain_refusals_pin_class_and_message(case):
+    build, cls, message = _CHAIN_REFUSALS[case]
+    with pytest.raises(cls) as info:
+        build()
+    assert info.type is cls and str(info.value) == message
+
+
+def test_a_ring_may_change_bond_dimension_from_bond_to_bond():
+    rng = np.random.default_rng(24)
+    bonds = (2, 3, 1, 4)  # bond k joins sites k and k + 1; the last closes the ring
+    shapes = [(2, bonds[k - 1], bonds[k]) for k in range(4)]
+    mps = MpsPbc([rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes])
+    assert mps.bond_dims == bonds
+    assert repr(mps) == (
+        "MpsPbc(site_dims=(2, 2, 2, 2), bond_dims=(2, 3, 1, 4), translation_invariant=False)"
+    )
+    psi = eval_pbc(mps).array
+    for idx in np.ndindex(2, 2, 2, 2):
+        mat = np.eye(bonds[-1], dtype=complex)
+        for site, s in enumerate(idx):
+            mat = mat @ mps.tensors[site].array[s]
+        assert abs(psi[idx] - np.trace(mat)) < 1e-12
+
+
+def test_an_open_chain_is_a_ring_whose_closing_bond_is_one():
+    rng = np.random.default_rng(25)
+    shapes = [(2, 1, 3), (3, 3, 2), (2, 2, 1)]
+    chain = MpsObc([rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes])
+    assert isinstance(chain, MpsPbc) and not chain.translation_invariant
+    assert chain.bond_dims == (3, 2)
+    assert MpsPbc(chain.tensors).bond_dims == (3, 2, 1)
+    assert repr(chain) == "MpsObc(site_dims=(2, 3, 2), bond_dims=(3, 2))"
+    assert np.array_equal(eval_obc(chain).array, eval_pbc(chain).array)

@@ -28,7 +28,7 @@ from tnslab.zoo import (
     w_state,
 )
 
-from helpers import random_state, w_overlap_formula
+from helpers import chain_legs, einsum_state, random_state, w_overlap_formula
 
 
 def _random_obc(rng, dims, bonds):
@@ -97,6 +97,30 @@ def test_objective_validation():
         distance_objective(w_state(3), reg_kind="lasso")
     with pytest.raises(ValueError):
         distance_objective(w_state(3), reg_kind="tensor_norm", reg_weight=-1.0)
+
+
+def test_transfer_product_refuses_per_site_weights():
+    # the transfer product is one term, so it has one weight
+    with pytest.raises(ValueError, match="transfer_product takes one weight"):
+        distance_objective(w_state(3), "transfer_product", (1e-3, 1e-3, 1e-3))
+    assert distance_objective(w_state(3), "tensor_norm", (1e-3, 1e-3, 1e-3)).reg_weight
+
+
+@pytest.mark.parametrize("reg", ["none", "tensor_norm", "transfer_product"])
+def test_a_ring_whose_bonds_differ_descends(reg):
+    rng = np.random.default_rng(64)
+    bonds = (2, 3, 2, 3)  # site k has bonds (bonds[k - 1], bonds[k])
+    shapes = [(2, bonds[k - 1], bonds[k]) for k in range(4)]
+    arrs = [(rng.standard_normal(s) + 1j * rng.standard_normal(s)) / 3 for s in shapes]
+    ring = MpsPbc(arrs)
+    assert ring.bond_dims == bonds
+    target = w_state(4).array
+    trace = run_experiment(distance_objective(target, reg, 1e-3), ring, 4)
+    fregs = [r.f_reg for r in trace.records]
+    assert len(fregs) > 1 and all(b <= a for a, b in zip(fregs, fregs[1:]))
+    psi = einsum_state(arrs, chain_legs(4, True), 4)
+    overlap = abs(np.vdot(target, psi)) / np.linalg.norm(psi)
+    assert abs(trace.records[0].f - 2.0 * (1.0 - overlap)) < 1e-12
 
 
 def test_zero_state_raises():

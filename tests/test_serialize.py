@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from tnslab import serialize
 from tnslab.mera import random_mera
 from tnslab.mps_obc import MpsObc
-from tnslab.mps_pbc import ti_mps
+from tnslab.mps_pbc import MpsPbc, ti_mps
 from tnslab.peps import Peps, ring_network
 from tnslab.serialize import (
     load_state,
@@ -55,7 +55,7 @@ def test_mps_obc_round_trip():
     ]
     state = MpsObc(tensors)
     back = state_from_obj(state_to_obj(state))
-    assert isinstance(back, MpsObc)
+    assert type(back) is MpsObc
     for a, b in zip(state.tensors, back.tensors):
         assert np.abs(a.array - b.array).max() == 0.0
 
@@ -65,6 +65,8 @@ def test_mps_pbc_round_trip_keeps_the_ti_flag():
     obj = state_to_obj(state)
     assert obj["translation_invariant"] is True
     back = state_from_obj(obj)
+    # an open chain is an MpsPbc too, so only the exact type tells them apart
+    assert type(back) is MpsPbc
     assert back.translation_invariant is True
     for a, b in zip(state.tensors, back.tensors):
         assert np.abs(a.array - b.array).max() == 0.0

@@ -102,3 +102,24 @@ def test_the_public_names_are_listed_once_and_resolve():
     assert len(listed) == len(set(listed))
     assert all(hasattr(tnslab, name) for name in listed)
     assert imported and not imported - set(listed)
+
+
+# Each base container module and the module whose containers extend it.
+_EXTENDED_BY = {"peps": "ttns", "mps_pbc": "mps_obc"}
+
+
+def test_a_base_container_module_imports_nothing_from_its_extension():
+    # a tree is a graph and an open chain is a ring, so the imports run from
+    # the extension to the base; one back the other way would be a cycle
+    found = []
+    for base, ext in _EXTENDED_BY.items():
+        tree = ast.parse((SRC / f"{base}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            parts = []  # every dotted part an import names: `from .ttns import x` gives ttns, x
+            if isinstance(node, ast.ImportFrom):
+                parts = (node.module or "").split(".") + [a.name for a in node.names]
+            elif isinstance(node, ast.Import):
+                parts = [p for a in node.names for p in a.name.split(".")]
+            if ext in parts:
+                found.append(f"{base}.py:{node.lineno} imports {ext}")
+    assert not found

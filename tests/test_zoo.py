@@ -334,6 +334,17 @@ def test_fine_grained_state_reproduces_coarse_amplitudes():
     assert np.abs(arr - want).max() < 1e-10
 
 
+def test_fine_grained_sites_are_a_ring_that_evaluates_directly():
+    # the rectangular bonds inside each ring site need no blocking first
+    spec = FineGrainSpec((2, 2))
+    fine = fine_grained_psi_tau(3, 4, 0.1, spec)
+    ring = MpsPbc(fine)
+    assert ring.bond_dims == (8, 4, 8, 4, 8, 4)
+    blocked = [block_cluster(fine, [2 * s, 2 * s + 1]).array for s in range(3)]
+    want = eval_pbc(MpsPbc(blocked)).array.ravel()
+    assert np.abs(eval_pbc(ring).array.ravel() - want).max() < 1e-12
+
+
 def test_fine_grained_rejects_mismatched_spec():
     with pytest.raises(DimensionMismatchError):
         fine_grained_psi_tau(3, 5, 0.1, FineGrainSpec((2, 2)))
