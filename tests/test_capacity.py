@@ -196,3 +196,31 @@ def test_loading_a_file_obeys_the_caps(tmp_path, monkeypatch, capsys, build, wha
     assert str(err.value) == f"{what} with {size} entries exceeds cap of 100"
     assert main(["certify", "--input", str(path), "--checks", "wellformed"]) == 3
     assert str(err.value) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "build, what, size",
+    [
+        # 2^16 amplitudes, 0.77 MB on disk
+        pytest.param(lambda: w_state(16), "state", 2**16, id="w_state"),
+        # a 16-entry first tensor passes; the 2 x 8 x 2048 middle one is refused
+        pytest.param(
+            lambda: MpsObc([np.ones((2, 1, 8)), np.ones((2, 8, 2048)), np.ones((2, 2048, 1))]),
+            "tensor", 2 * 8 * 2048, id="mps_obc",
+        ),
+    ],
+)
+def test_loading_refuses_a_tensor_before_reading_its_data(tmp_path, monkeypatch, build, what, size):
+    path = tmp_path / "state.json"
+    save_state(build(), path)
+    monkeypatch.setenv("TNS_CAPACITY_CAP", "100")
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError) as err:
+            load_state(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"{what} with {size} entries exceeds cap of 100"
+    # the file's text, not the parse tree of its data
+    assert peak < 2 * 2**20  # bytes

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tnslab import serialize
-from tnslab.mera import random_mera
+from tnslab.mera import Mera, random_mera
 from tnslab.mps_obc import MpsObc
 from tnslab.mps_pbc import MpsPbc, ti_mps
 from tnslab.peps import Peps, ring_network
@@ -305,3 +305,155 @@ def test_saved_files_round_trip_every_bit(tmp_path_factory, shape, data):
     assert back.shape == arr.shape
     # == would take -0.0 for 0.0; the bit patterns do not
     assert np.array_equal(back.view(np.uint64), arr.view(np.uint64))
+
+
+def _fingerprint(state):
+    """The container's type and layout, with each tensor's shape and bits in
+    its place: == tells -0.0 from 0.0 and a NaN equals itself."""
+    def leaf(t):
+        arr = np.asarray(as_array(t))
+        return arr.shape, arr.view(np.uint64).tobytes()
+
+    return type(state), serialize._layout(state, leaf)
+
+
+def _outcome(read):
+    try:
+        return _fingerprint(read())
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+
+
+def _drawn(rng, shape, few):
+    # few distinct values: save_state's table writer; else its per-amplitude tree
+    if few:
+        return rng.integers(-1, 2, shape) + 0.5j * rng.integers(0, 2, shape)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _kinds(few):
+    rng = np.random.default_rng(64 + few)
+    draw = lambda *shape: _drawn(rng, shape, few)  # noqa: E731
+    a = draw(2, 2, 2)
+    tree = TreeNetwork((2, 2, 2), [(1, 2, 2), (2, 3, 2)])
+    if few:
+        # identity disentanglers and truncated-identity isometries: 0 and 1
+        layers = [([np.eye(4)] * 4, [np.eye(2, 4)] * 4), ([np.eye(4)] * 2, [np.eye(2, 4)] * 2),
+                  ([np.eye(4)], [np.eye(2, 4)])]
+        mera = Mera(8, 2, 2, layers, np.eye(2)[0])
+    else:
+        mera = random_mera(8, 2, 2, 5)
+    return [
+        DenseTensor(draw(4, 8)),
+        MpsObc([draw(2, 1, 2), draw(2, 2, 3), draw(2, 3, 1)]),
+        MpsPbc([a, a, a], True),
+        MpsPbc([draw(2, 2, 3), draw(2, 3, 2)]),
+        Ttns(tree, [draw(2, 2), draw(2, 2, 2), draw(2, 2)]),
+        Peps(ring_network(3, 2), [draw(4, 2, 2) for _ in range(3)]),
+        mera,
+    ]
+
+
+def _saved_texts(tmp_path):
+    texts = []
+    for few in (True, False):
+        for state in _kinds(few):
+            path = tmp_path / "state.json"
+            save_state(state, path)
+            texts.append(path.read_text(encoding="utf-8"))
+    return texts
+
+
+def _dense(rows):
+    """A dense state's text with the given row texts, canonical separators."""
+    return ('{"kind": "dense_state", "tensor": {"shape": [%d], "data": [[%s]]}}\n'
+            % (len(rows), "], [".join(rows)))
+
+
+def _chain(rows):
+    """A one-site open chain with the given row texts."""
+    return ('{"kind": "mps_obc", "tensors": [{"shape": [%d, 1, 1], "data": [[%s]]}]}\n'
+            % (len(rows), "], [".join(rows)))
+
+
+_ZEROS = ["0.0, 0.0"] * 6
+
+
+def _hand_texts():
+    canonical = json.loads(_dense(["1.0, 0.0"] + _ZEROS))
+    texts = [json.dumps(canonical, separators=(",", ":")), json.dumps(canonical, indent=1)]
+    for special in ["NaN, 0.0", "0.0, Infinity", "-Infinity, 1.0", "-0.0, -0.0", "5e-324, 1.0",
+                    "1e400, 0.0", "1, 0", "-0, 2", "12345678901234567891, 0.0",
+                    "1" + "0" * 400 + ", 0.0", "true, 0.0", "1.0, null", "1.0", "1.0, 0.0, 0.0"]:
+        texts += [_dense([special] + _ZEROS), _chain([special] + _ZEROS), _dense(_ZEROS + [special])]
+    good = "1.0, 0.0], [" + "], [".join(_ZEROS)
+    texts += [
+        # json keeps the last of two "data" keys
+        '{"kind": "dense_state", "tensor": {"data": [[9.0, 9.0]], "shape": [7], "data": [[%s]]}}' % good,
+        # a body in a key no reader looks at, valid or not, and one in a string
+        '{"kind": "dense_state", "note": {"data": [[1, 2]]}, "tensor": {"shape": [7], "data": [[%s]]}}'
+        % good,
+        '{"kind": "dense_state", "note": {"data": [[1, tru]]}, "tensor": {"shape": [7], "data": [[%s]]}}'
+        % good,
+        '{"kind": "dense_state", "note": "\\"data\\": [[1, 2]]}", "tensor": {"shape": [7], "data": [[%s]]}}'
+        % good,
+        # a string that looks like the marker of the first body
+        '{"kind": "dense_state", "x": {"data": [[%s]]}, "tensor": {"shape": [7], "data": "\\u00000"}}'
+        % good,
+        # a body whose rows disagree with its shape
+        _dense(["1.0, 0.0"] + _ZEROS).replace("[7]", "[6]"),
+        # brackets inside a row, a row nested in a row, and a body closed twice
+        _dense(["[1.0], 0.0"] + _ZEROS),
+        _dense(["1.0, 0.0", "[0.0, 0.0], [0.0, 0.0]"] + _ZEROS[:4]).replace("[6]", "[7]"),
+        _dense(["1.0, 0.0"] * 7).replace("]]}", "]]]}"),
+        # rows whose tokens pair up although their numbers do not
+        _dense(["1.0,0.0"] + _ZEROS),
+        _dense(["1.0,0.0, 2.0"] + _ZEROS),
+        _dense(["1.0, 0.0, 0.0", "1.0"] + _ZEROS[:5]),
+        _dense(["1.0, 0.0"] * 7).replace(", 0.0]]", ", 0.0]] "),
+    ]
+    whole = _dense(["0.5, 0.0"] + _ZEROS)
+    texts += [whole[:cut] for cut in (20, whole.index("data") + 12, len(whole) - 5, len(whole) - 2)]
+    return texts
+
+
+def _assert_read_as_json_reads(tmp_path, texts):
+    for text in texts:
+        path = tmp_path / "case.json"
+        path.write_text(text, encoding="utf-8")
+        want = _outcome(lambda: state_from_obj(json.loads(text)))
+        assert _outcome(lambda: load_state(path)) == want, text[:200]
+
+
+def test_load_state_matches_the_json_reader(tmp_path):
+    _assert_read_as_json_reads(tmp_path, _saved_texts(tmp_path) + _hand_texts())
+
+
+def test_load_state_matches_the_json_reader_under_a_cap(tmp_path, monkeypatch):
+    # a tensor over its cap is refused before any body after it is read, so
+    # only for text that json parses must the refusal be json's own
+    texts = []
+    for text in _saved_texts(tmp_path) + _hand_texts():
+        try:
+            json.loads(text)
+            texts.append(text)
+        except ValueError:
+            pass
+    monkeypatch.setenv("TNS_CAPACITY_CAP", "6")
+    _assert_read_as_json_reads(tmp_path, texts)
+
+
+@pytest.mark.parametrize(
+    "build", [lambda: psi_w(16, 0.05), lambda: w_obc_mps(5)], ids=["psi_w", "w_obc_mps"]
+)
+def test_canonical_saves_load_without_the_per_amplitude_tree(tmp_path, monkeypatch, build):
+    # the json reader's tree is built only under _collector_paused
+    state = build()
+    path = tmp_path / "state.json"
+    save_state(state, path)
+    calls = []
+    paused = serialize._collector_paused
+    monkeypatch.setattr(serialize, "_collector_paused", lambda: calls.append(1) or paused())
+    back = load_state(path)
+    assert calls == []
+    assert _fingerprint(back) == _fingerprint(state)

@@ -317,13 +317,15 @@ def test_fine_grained_blocks_back_to_coarse_sites():
 
 
 def test_fine_grained_state_reproduces_coarse_amplitudes():
-    # the fine chain has rectangular intra-site bonds, so evaluate it by
-    # blocking each run of two sites first, then undo the leg interleaving
+    # evaluate the fine chain by blocking each run of two sites, then undo
+    # the leg interleaving; MpsPbc takes the fine chain's rectangular bonds
+    # too, and evaluating it unblocked gives the same amplitudes
     spec = FineGrainSpec((2, 2))
     eps = 0.1
     fine = fine_grained_psi_tau(3, 4, eps, spec)
     blocked = [block_cluster(fine, [2 * s, 2 * s + 1]).array for s in range(3)]
     psi_fine = eval_pbc(MpsPbc(blocked)).array
+    assert np.array_equal(eval_pbc(MpsPbc(fine)).array.ravel(), psi_fine.ravel())
     arr = psi_fine.reshape((2,) * 12)
     perm = []
     for site in range(3):
