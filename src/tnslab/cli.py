@@ -118,38 +118,42 @@ def _state_vector(state) -> np.ndarray:
 
 # ---------------------------------------------------------------- construct
 
-def _build_family(ns):
-    fam = ns.family
-    if fam == "w":
-        _need(ns, "n")
-        return w_state(ns.n, _given(ns.d, 2))
-    if fam == "psi_w":
-        _need(ns, "n", "eps")
-        return psi_w(ns.n, ns.eps)
-    if fam == "psi_w_ti":
-        _need(ns, "n", "eps")
-        return ti_mps(psi_w_timps_tensor(ns.n, ns.eps), ns.n)
-    if fam == "w_obc":
-        _need(ns, "n")
-        return w_obc_mps(ns.n)
-    if fam == "psi_tau":
-        _need(ns, "n", "m", "eps")
-        return psi_tau_tensors(ns.n, ns.m, ns.eps)
-    if fam == "two_domain":
-        _need(ns, "n", "m")
-        return two_domain_state(ns.n, ns.m)
-    if fam == "aklt":
-        _need(ns, "n")
-        return ti_mps(aklt_tensor(), ns.n)
-    if fam == "mera":
-        _need(ns, "n", "m")
-        return random_mera(ns.n, ns.m, _given(ns.d, 2), _given(ns.seed, 0))
-    raise _UsageError(f"unknown family {fam!r}")
+# family -> (flags it needs, whether it is translation invariant, builder). A
+# translation-invariant family's builder gives its site tensor: `construct` wraps
+# it in `ti_mps`, `injectivity` reads it as it is, `optimize --init` rings it.
+_FAMILIES = {
+    "w": (("n",), False, lambda ns: w_state(ns.n, _given(ns.d, 2))),
+    "psi_w": (("n", "eps"), False, lambda ns: psi_w(ns.n, ns.eps)),
+    "psi_w_ti": (("n", "eps"), True, lambda ns: psi_w_timps_tensor(ns.n, ns.eps)),
+    "w_obc": (("n",), False, lambda ns: w_obc_mps(ns.n)),
+    "psi_tau": (("n", "m", "eps"), False, lambda ns: psi_tau_tensors(ns.n, ns.m, ns.eps)),
+    "two_domain": (("n", "m"), False, lambda ns: two_domain_state(ns.n, ns.m)),
+    "aklt": ((), True, lambda ns: aklt_tensor()),
+    "mera": (
+        ("n", "m"),
+        False,
+        lambda ns: random_mera(ns.n, ns.m, _given(ns.d, 2), _given(ns.seed, 0)),
+    ),
+}
+
+
+def _site_tensor(ns, name, unknown: str):
+    """The site tensor of translation-invariant family `name`; the usage error
+    `unknown` when `name` is not one."""
+    flags, ti, build = _FAMILIES.get(name, ((), False, None))
+    if not ti:
+        raise _UsageError(unknown)
+    _need(ns, *flags)
+    return build(ns)
 
 
 def _cmd_construct(ns) -> int:
     _need(ns, "family")
-    state = _build_family(ns)
+    if ns.family not in _FAMILIES:
+        raise _UsageError(f"unknown family {ns.family!r}")
+    flags, ti, build = _FAMILIES[ns.family]
+    _need(ns, *flags, "n")  # --n names the default file, and a ring's length
+    state = ti_mps(build(ns), ns.n) if ti else build(ns)
     out = ns.out or f"{ns.family}_n{ns.n}.json"
     save_state(state, out)
     print(out)
@@ -258,12 +262,8 @@ def _ti_site_tensor(ns) -> np.ndarray:
         if not isinstance(state, MpsPbc) or not state.translation_invariant:
             raise ValueError("injectivity needs a translation-invariant mps_pbc")
         return np.asarray(as_array(state.tensors[0]))
-    if ns.family == "psi_w_ti":
-        _need(ns, "n", "eps")
-        return np.asarray(as_array(psi_w_timps_tensor(ns.n, ns.eps)))
-    if ns.family == "aklt":
-        return np.asarray(as_array(aklt_tensor()))
-    raise _UsageError("pass --input or --family psi_w_ti|aklt")
+    names = "|".join(name for name, (_, ti, _) in _FAMILIES.items() if ti)
+    return np.asarray(as_array(_site_tensor(ns, ns.family, f"pass --input or --family {names}")))
 
 
 def _cmd_injectivity(ns) -> int:
@@ -324,21 +324,10 @@ def _initial_params(ns, rng):
     init = ns.init or "random"
     if init == "random":
         return _random_params(ns, rng)
-    if init == "psi_w_ti":
-        _need(ns, "eps")
-        a = psi_w_timps_tensor(ns.n, ns.eps)
-        if ns.set == "ti":
-            return ti_mps(a, ns.n)
-        if ns.set == "pbc":
-            return MpsPbc([a] * ns.n, translation_invariant=False)
-        raise ValueError("init psi_w_ti needs --set ti or pbc")
-    if init == "aklt":
-        if ns.set == "ti":
-            return ti_mps(aklt_tensor(), ns.n)
-        if ns.set == "pbc":
-            return MpsPbc([aklt_tensor()] * ns.n, translation_invariant=False)
-        raise ValueError("init aklt needs --set ti or pbc")
-    raise _UsageError(f"unknown init {init!r}")
+    a = _site_tensor(ns, init, f"unknown init {init!r}")
+    if ns.set == "obc":
+        raise ValueError(f"init {init} needs --set ti or pbc")
+    return MpsPbc([a] * ns.n, translation_invariant=ns.set == "ti")
 
 
 def _cmd_optimize(ns) -> int:

@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import CapacityError
 from .mps_pbc import MpsPbc, eval_pbc
+from .peps import pair_tensor
 from .tensors import (
     DEFAULT_TOL,
     as_array,
@@ -129,10 +130,7 @@ def random_injective_point(n: int, m: int, seed: int = 0):
     applied to the pair-seed site tensors."""
     rng = np.random.default_rng(seed)
     d = m * m
-    base = np.zeros((d, m, m), dtype=np.complex128)
-    for a in range(m):
-        for b in range(m):
-            base[a * m + b, a, b] = 1.0
+    base = pair_tensor(d, (m, m))
     out = []
     for _ in range(n):
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

@@ -118,6 +118,19 @@ def eval_peps(p: Peps) -> DenseTensor:
     return DenseTensor(contract_network(*p.tensor_network()))
 
 
+def pair_tensor(d: int, bond_dims) -> np.ndarray:
+    """Entangled-pair seed at one vertex: physical index p is the row-major
+    flattening of its bond labels, and rows from prod(bond_dims) on are zero."""
+    return np.eye(d, math.prod(bond_dims), dtype=np.complex128).reshape(d, *bond_dims)
+
+
+def pair_weights(m: int, diag: float, off: float) -> np.ndarray:
+    """m x m pair weights: `diag` on equal bond labels, `off` on unequal ones."""
+    w = np.full((m, m), off, dtype=np.complex128)
+    np.fill_diagonal(w, diag)
+    return w
+
+
 def mu_peps(net: PepsNetwork) -> Peps:
     """Entangled-pair seed state: product over edges of sum_n |n,n>."""
     tensors = []
@@ -129,7 +142,7 @@ def mu_peps(net: PepsNetwork) -> Peps:
                 f"vertex {v} needs d = {pi} (= product of bond dims), "
                 f"got {net.dims[v - 1]}"
             )
-        tensors.append(DenseTensor(np.eye(pi).reshape((pi,) + bd)))
+        tensors.append(pair_tensor(pi, bd))
     return Peps(net, tensors)
 
 
@@ -164,9 +177,7 @@ def _padded_pair_base(net: PepsNetwork, v: int) -> np.ndarray:
         raise DimensionMismatchError(
             f"vertex {v} needs d >= {pi} (= product of bond dims), got {d}"
         )
-    base = np.zeros((d, pi), dtype=np.complex128)
-    base[:pi, :] = np.eye(pi)
-    return base.reshape((d,) + bd)
+    return pair_tensor(d, bd)
 
 
 def _apply_pair_weight(
@@ -205,9 +216,7 @@ def psi_t_peps(net: PepsNetwork, loop, eps: float) -> Peps:
             i = vs.index(v)
             ein = eids[(i - 1) % k]
             eout = eids[i]
-            off = (1.0 / eps) if i == k - 1 else eps
-            wmat = np.full((m, m), off, dtype=np.complex128)
-            np.fill_diagonal(wmat, 1.0)
+            wmat = pair_weights(m, 1.0, (1.0 / eps) if i == k - 1 else eps)
             base = _apply_pair_weight(base, net, v, ein, eout, wmat)
         tensors.append(DenseTensor(base))
     return Peps(net, tensors)
@@ -218,9 +227,6 @@ def loop_limit_state(net: PepsNetwork, loop) -> DenseTensor:
     wall term per non-final loop vertex.  Returned unnormalized."""
     vs, eids, m = _loop_edges(net, loop)
     k = len(vs)
-    eye = np.eye(m, dtype=np.complex128)
-    p_d = eye
-    p_o = np.ones((m, m), dtype=np.complex128) - eye
     total: np.ndarray | None = None
     terms = [frozenset()] + [frozenset({j, k - 1}) for j in range(k - 1)]
     for walls in terms:
@@ -229,7 +235,7 @@ def loop_limit_state(net: PepsNetwork, loop) -> DenseTensor:
             base = _padded_pair_base(net, v)
             if v in vs:
                 i = vs.index(v)
-                wmat = p_o if i in walls else p_d
+                wmat = pair_weights(m, 0.0, 1.0) if i in walls else pair_weights(m, 1.0, 0.0)
                 base = _apply_pair_weight(
                     base, net, v, eids[(i - 1) % k], eids[i], wmat
                 )

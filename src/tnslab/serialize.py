@@ -49,17 +49,19 @@ def _ints(values, key: str) -> list[int]:
 
 class _Body:
     """A tensor's "[[re, im], ...]" text in a saved file: its rows counted before
-    the cap check, its numbers read after; rows -1 or a ValueError leave it to json."""
+    the cap check, its numbers read after; a ValueError leaves the file to json."""
 
     def __init__(self, text: str, start: int, end: int):
-        self.text, self.start, self.end, self.read, self.rows = text, start, end, False, -1
+        self.text, self.start, self.end, self.read = text, start, end, False
         # json.load reads mostly distinct numbers faster than a table does: judged here
         # on the first 128 (a float token has at most 26 bytes), in floats on all
         head = text[start + 2 : min(end - 2, start + 128 * 32)].split(", ")[:128]
-        if 2 * len({t.strip("[]") for t in head}) <= len(head):
-            # a body holds no string, so each "[" but the outer one opens a row
-            rows = text.count("], [", start, end) + 1
-            self.rows = rows if text.count("[", start, end) == rows + 1 else -1
+        if 2 * len({t.strip("[]") for t in head}) > len(head):
+            raise ValueError("left to the json reader")
+        # a body holds no string, so each "[" but the outer one opens a row
+        self.rows = text.count("], [", start, end) + 1
+        if text.count("[", start, end) != self.rows + 1:
+            raise ValueError("left to the json reader")
 
     def floats(self, count: int) -> np.ndarray:
         tokens = self.text[self.start + 2 : self.end - 2].split(", ")
@@ -278,12 +280,13 @@ def load_state(path):
 
     # as save_state writes it, a body holds no string and ends its object;
     # with no backslash in the file, no string in it can pass for a marker
-    skeleton = "" if "\\" in text else re.sub(r'"data": (\[\[[^"]*\]\])\}', cut, text)
-    if bodies:
-        try:
-            state = state_from_obj(json.loads(skeleton, object_hook=attach))
-            if all(body.read for body in bodies):
-                return state
+    if "\\" not in text:
+        try:  # the first body _Body refuses stops the cut
+            skeleton = re.sub(r'"data": (\[\[[^"]*\]\])\}', cut, text)
+            if bodies:
+                state = state_from_obj(json.loads(skeleton, object_hook=attach))
+                if all(body.read for body in bodies):
+                    return state
         except (ValueError, OverflowError):
             pass
     with _collector_paused():

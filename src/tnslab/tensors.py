@@ -64,8 +64,14 @@ DEFAULT_EVAL_CAP = 2**20  # a full state, 16 MiB, or the capacity cap where that
 
 
 def capacity_cap() -> int:
+    """TNS_CAPACITY_CAP, read on every call, or DEFAULT_CAPACITY_CAP when it is
+    unset or empty; ValueError unless it is an integer of at least 1."""
     raw = os.environ.get("TNS_CAPACITY_CAP")
-    return int(raw) if raw else DEFAULT_CAPACITY_CAP
+    if not raw:
+        return DEFAULT_CAPACITY_CAP
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise ValueError(f"TNS_CAPACITY_CAP must be an integer of at least 1, got {raw!r}")
+    return int(raw)
 
 
 def check_state(size: int, what: str = "state") -> int:

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import DimensionMismatchError
 from .mps_obc import MpsObc
 from .mps_pbc import MpsPbc, chain_network
+from .peps import pair_tensor, pair_weights
 from .tensors import NOISE_TOL, DenseTensor, as_array, check_capacity, check_state, contract_network
 
 
@@ -98,12 +99,6 @@ def w_obc_mps(n: int) -> MpsObc:
     return MpsObc(tensors)
 
 
-def _pair_weights(m: int, diag: float, off: float) -> np.ndarray:
-    w = np.full((m, m), off, dtype=np.complex128)
-    np.fill_diagonal(w, diag)
-    return w
-
-
 def psi_tau_tensors(n: int, m: int, eps: float) -> MpsPbc:
     """Injective ring family interpolating toward the two-domain state.
 
@@ -118,16 +113,9 @@ def psi_tau_tensors(n: int, m: int, eps: float) -> MpsPbc:
     if not eps > 0:
         raise ValueError("eps must be positive")
     check_state((m * m) ** n)
-
-    def site(weights: np.ndarray) -> np.ndarray:
-        t = np.zeros((m * m, m, m), dtype=np.complex128)
-        for a in range(m):
-            for b in range(m):
-                t[a * m + b, a, b] = weights[a, b]
-        return t
-
-    bulk = site(_pair_weights(m, 1.0, eps))
-    last = site(_pair_weights(m, 1.0, 1.0 / eps))
+    seed = pair_tensor(m * m, (m, m))
+    bulk = seed * pair_weights(m, 1.0, eps)
+    last = seed * pair_weights(m, 1.0, 1.0 / eps)
     return MpsPbc([bulk] * (n - 1) + [last], translation_invariant=False)
 
 

@@ -2,8 +2,11 @@
 import csv
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -486,6 +489,81 @@ def test_optimize_named_start_on_an_open_chain_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err.strip() == "error: init aklt needs --set ti or pbc"
 
 
+# each translation-invariant family's flags besides --n, the objective its site
+# dimension fits (aklt is spin 1) and its site tensor at n = 4
+_TI_FAMILIES = {
+    "psi_w_ti": (["--eps", "0.5"], "distance", psi_w_timps_tensor(4, 0.5)),
+    "aklt": ([], "energy", aklt_tensor()),
+}
+
+
+def test_every_translation_invariant_family_is_tested():
+    assert set(_TI_FAMILIES) == {name for name, (_, ti, _) in cli._FAMILIES.items() if ti}
+
+
+@pytest.mark.parametrize("family", sorted(_TI_FAMILIES))
+def test_translation_invariant_family_at_each_entry_point(tmp_path, capsys, family):
+    extra, objective, site = _TI_FAMILIES[family]
+    state = tmp_path / "state.json"
+    assert main(["construct", "--family", family, "--n", "4", *extra, "--out", str(state)]) == 0
+    loaded = load_state(state)
+    assert isinstance(loaded, MpsPbc) and loaded.translation_invariant
+    assert [t.array.tobytes() for t in loaded.tensors] == [site.array.tobytes()] * 4
+    report = tmp_path / "inj.csv"
+    argv = ["injectivity", "--family", family, "--n", "4", *extra, "--out", str(report)]
+    assert main(argv) == 0
+    d, m = site.shape[:2]
+    assert _read_csv(report)[1][0][:2] == [str(d), str(m)]
+    capsys.readouterr()
+    for ring in ("ti", "pbc", "obc"):
+        argv = ["optimize", "--init", family, "--set", ring, "--objective", objective,
+                "--n", "4", "--m", str(m), "--budget", "1", *extra, "--out", str(report)]
+        if ring == "obc":
+            assert main(argv) == 2
+            assert capsys.readouterr().err.strip() == f"error: init {family} needs --set ti or pbc"
+            continue
+        assert main(argv) == 0
+        _, rows = _read_csv(report)
+        assert json.loads(rows[0][5]) == [float(np.linalg.norm(site.array))] * 4
+        capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["construct", "--family", "nope", "--n", "3"], "unknown family 'nope'"),
+        (["injectivity", "--family", "nope"], "pass --input or --family psi_w_ti|aklt"),
+        (["injectivity", "--family", "w", "--n", "3"], "pass --input or --family psi_w_ti|aklt"),
+        (["injectivity"], "pass --input or --family psi_w_ti|aklt"),
+        (["optimize", "--init", "nope", "--set", "ti", "--n", "3", "--m", "2"],
+         "unknown init 'nope'"),
+        (["optimize", "--init", "w", "--set", "ti", "--n", "3", "--m", "2"], "unknown init 'w'"),
+        # a family's required flags, and --n for every construct
+        (["construct", "--family", "aklt"], "--n is required here"),
+        (["construct", "--family", "psi_tau", "--n", "3", "--eps", "0.1"], "--m is required here"),
+        (["injectivity", "--family", "psi_w_ti", "--n", "4"], "--eps is required here"),
+        (["optimize", "--init", "psi_w_ti", "--set", "ti", "--n", "3", "--m", "2"],
+         "--eps is required here"),
+    ],
+)
+def test_family_names_and_flags_are_checked_as_usage(tmp_path, capsys, args, message):
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == 64
+    assert capsys.readouterr().err.strip() == f"usage error: {message}"
+    assert not out.exists()
+
+
+def test_optimize_reports_divergence_mid_run(tmp_path, capsys):
+    report = tmp_path / "trace.csv"
+    argv = ["optimize", "--set", "ti", "--n", "7", "--m", "2", "--init", "psi_w_ti",
+            "--eps", "0.3", "--budget", "200", "--divergence-threshold", "1.05"]
+    assert main(argv + ["--out", str(report)]) == 0
+    assert capsys.readouterr().out.strip() == "divergence_flag"
+    header, rows = _read_csv(report)
+    assert len(rows) == 3
+    assert rows[-1][header.index("flag")] == "ridge;divergence_flag"
+
+
 def test_injectivity_of_a_saved_ti_mps(tmp_path, capsys):
     state = tmp_path / "aklt.json"
     assert main(["construct", "--family", "aklt", "--n", "4", "--out", str(state)]) == 0
@@ -530,6 +608,16 @@ def test_capacity_exit_3(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("TNS_CAPACITY_CAP", "1000")
     assert main(["construct", "--family", "w", "--n", "12"]) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("raw", ["abc", "1e6", "0", "-5"])
+def test_an_invalid_capacity_cap_exits_2_naming_it(tmp_path, monkeypatch, capsys, raw):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("TNS_CAPACITY_CAP", raw)
+    assert main(["construct", "--family", "w", "--n", "3"]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"error: TNS_CAPACITY_CAP must be an integer of at least 1, got {raw!r}"
+    )
 
 
 def test_config_file_supplies_flags(tmp_path, capsys):
@@ -641,3 +729,28 @@ def test_module_entry_point_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert report.exists()
+
+
+def _readme_examples():
+    """Each `tnslab` line of README's "## Command line" sh block, its `\\`
+    continuations joined, with the exit code its comment documents (else 0)."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples, comment = [], ""
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("#"):
+            comment += line
+        elif line.startswith("tnslab "):
+            code = re.search(r"exits (\d+)", comment)
+            examples.append((shlex.split(line)[1:], int(code.group(1)) if code else 0))
+            comment = ""
+    return examples
+
+
+def test_readme_command_line_examples_exit_as_documented(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    examples = _readme_examples()
+    assert len(examples) == 7
+    for argv, code in examples:
+        assert main(argv) == code, argv
+    capsys.readouterr()

@@ -220,6 +220,17 @@ def test_divergent_initialization_is_flagged_immediately():
     assert trace.records[0].flag == "divergence_flag"
 
 
+def test_a_run_stops_when_entries_diverge_mid_run():
+    # the psi_w_ti start fits W by growing its entries, which pass 1.05 at sweep 2
+    obj = distance_objective(w_state(7))
+    init = ti_mps(psi_w_timps_tensor(7, 0.3), 7)
+    trace = run_experiment(obj, init, 200, divergence_threshold=1.05)
+    assert trace.termination == "divergence_flag"
+    assert len(trace.records) == 3
+    assert trace.records[0].max_abs_entry < 1.05 < trace.records[-1].max_abs_entry
+    assert trace.records[-1].flag.endswith(";divergence_flag")
+
+
 def test_singular_environment_uses_the_ridge():
     rng = np.random.default_rng(54)
     t1 = rng.standard_normal((2, 1, 2)) + 1j * rng.standard_normal((2, 1, 2))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from tnslab.errors import DimensionMismatchError, NormalizationError
+from tnslab.mps_pbc import eval_pbc
 from tnslab.peps import (
     Peps,
     PepsNetwork,
@@ -12,11 +13,13 @@ from tnslab.peps import (
     grid_network,
     loop_limit_state,
     mu_peps,
+    pair_tensor,
     psi_t_peps,
     ring_network,
     state_site_rho,
 )
 from tnslab.ttns import TreeNetwork, Ttns, eval_ttns
+from tnslab.zoo import psi_tau_tensors, two_domain_state
 
 from helpers import fidelity
 
@@ -140,3 +143,30 @@ def test_loop_validation_errors():
         psi_t_peps(net, (1, 2, 1, 4), 0.5)  # repeated vertex
     with pytest.raises(ValueError):
         psi_t_peps(net, (1, 2, 6, 4), 0.5)  # (2, 6) is not an edge
+
+
+def test_pair_tensor_pads_the_matrix_units_with_zero_rows():
+    seed = pair_tensor(7, (2, 3))
+    assert seed.shape == (7, 2, 3) and seed.dtype == np.complex128
+    units = np.zeros((7, 6))
+    units[np.arange(6), np.arange(6)] = 1.0
+    assert np.array_equal(seed.reshape(7, 6), units)
+
+
+def _swap_end_pairs(arr, n, m):
+    """The dense loop state on a ring with the pair (x, y) read as (y, x) at
+    vertices 1 and n, where the ring's two bonds sit in the other order."""
+    swap = np.arange(m * m).reshape(m, m).T.ravel()
+    return np.ascontiguousarray(np.asarray(arr).reshape((m * m,) * n)[swap][..., swap])
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (4, 2), (4, 3), (5, 3)])
+def test_ring_family_is_the_loop_family_on_a_ring(n, m):
+    ring = ring_network(n, m)
+    for eps in (1.0, 0.1, 1e-3):
+        want = eval_pbc(psi_tau_tensors(n, m, eps)).array.reshape((m * m,) * n)
+        got = _swap_end_pairs(eval_peps(psi_t_peps(ring, range(1, n + 1), eps)).array, n, m)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    want = two_domain_state(n, m).array
+    got = _swap_end_pairs(loop_limit_state(ring, range(1, n + 1)).array, n, m)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

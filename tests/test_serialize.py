@@ -412,6 +412,10 @@ def _hand_texts():
         _dense(["1.0, 0.0, 0.0", "1.0"] + _ZEROS[:5]),
         _dense(["1.0, 0.0"] * 7).replace(", 0.0]]", ", 0.0]] "),
     ]
+    # a chain whose first body takes the table route and whose second does not
+    few = {"shape": [2, 1, 2], "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}
+    many = {"shape": [2, 2, 1], "data": [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6], [0.7, 0.8]]}
+    texts += [json.dumps({"kind": "mps_obc", "tensors": ts}) for ts in ([few, many], [many, few])]
     whole = _dense(["0.5, 0.0"] + _ZEROS)
     texts += [whole[:cut] for cut in (20, whole.index("data") + 12, len(whole) - 5, len(whole) - 2)]
     return texts
@@ -441,6 +445,23 @@ def test_load_state_matches_the_json_reader_under_a_cap(tmp_path, monkeypatch):
             pass
     monkeypatch.setenv("TNS_CAPACITY_CAP", "6")
     _assert_read_as_json_reads(tmp_path, texts)
+
+
+def test_load_state_stops_the_cut_at_the_first_body_left_to_json(tmp_path, monkeypatch):
+    # a MERA's numbers are mostly distinct: its first body sends the file to json
+    path = tmp_path / "mera.json"
+    save_state(random_mera(8, 2, 2, 5), path)
+    made = []
+
+    class Counted(serialize._Body):
+        def __init__(self, *span):
+            made.append(span)
+            super().__init__(*span)
+
+    monkeypatch.setattr(serialize, "_Body", Counted)
+    want = _fingerprint(state_from_obj(json.loads(path.read_text(encoding="utf-8"))))
+    assert _fingerprint(load_state(path)) == want
+    assert len(made) == 1
 
 
 @pytest.mark.parametrize(

@@ -166,3 +166,13 @@ def test_capacity_cap_env_override(monkeypatch):
     assert capacity_cap() == 1000
     with pytest.raises(CapacityError):
         check_capacity(1001)
+
+
+@pytest.mark.parametrize("raw", ["abc", "1e6", "1.5", "0", "-5"])
+def test_capacity_cap_refuses_values_that_are_not_positive_integers(monkeypatch, raw):
+    monkeypatch.setenv("TNS_CAPACITY_CAP", raw)
+    with pytest.raises(ValueError) as info:
+        capacity_cap()
+    assert str(info.value) == f"TNS_CAPACITY_CAP must be an integer of at least 1, got {raw!r}"
+    with pytest.raises(ValueError, match="TNS_CAPACITY_CAP"):
+        check_capacity(1)
