@@ -119,7 +119,8 @@ def schmidt(psi, dims, cut: int, tol: float = DEFAULT_TOL) -> SchmidtData:
         raise ValueError(f"cut must lie in 1..{n - 1}, got {cut}")
     arr = as_array(psi).reshape(tuple(dims))
     mat = arr.reshape(math.prod(dims[:cut]), math.prod(dims[cut:]))
-    s = np.linalg.svd(mat, compute_uv=False)
+    # a real state's singular values, in float64 arithmetic, as `reduced_rq` takes them
+    s = np.linalg.svd(mat if mat.imag.any() else mat.real, compute_uv=False)
     rank = _rank_from_singulars(s, tol)
     return SchmidtData(cut=cut, coefficients=s[:rank].copy(), rank=rank)
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tnslab import tensors
 from tnslab.errors import CapacityError, InvertibilityError, NormalizationError, RankError
 from tnslab.mera import eval_mera, random_mera
 from tnslab.mps_obc import (
@@ -18,7 +19,8 @@ from tnslab.mps_obc import (
     schmidt,
     schmidt_profile,
 )
-from tnslab.tensors import DEFAULT_TOL, WORKING_TOL, reduced_rq
+from tnslab.tensors import DEFAULT_TOL, TALL_RATIO, WORKING_TOL, reduced_rq
+from tnslab.ttns import TreeNetwork, from_state_ttns
 from tnslab.zoo import psi_w, two_domain_state, w_state
 
 from helpers import bipartition_rank, fidelity, random_state
@@ -277,6 +279,40 @@ def test_round_trip_recovers_ranks_and_state(n, seed):
         got = 1 if n == 1 else mps.bond_dims[cut - 1]
         assert got == want
     assert fidelity(eval_obc(mps).array, psi) > 1 - 1e-10
+
+
+def test_every_leg_split_is_one_reduced_rq_call(monkeypatch):
+    # the tall route factors inside the one call; it must not call the public name again
+    shapes = []
+    split = tensors.reduced_rq
+
+    def counted(m):
+        shapes.append(np.shape(m))
+        return split(m)
+
+    monkeypatch.setattr(tensors, "reduced_rq", counted)
+    rng = np.random.default_rng(8)
+    for n in (2, 7, 10):
+        shapes.clear()
+        from_state_obc(random_state(rng, (2,) * n), [2] * n)
+        assert len(shapes) == n - 1
+    assert any(k >= TALL_RATIO * m for k, m in shapes)
+    n = 16  # a heap-ordered binary tree, rooted at a leaf
+    tree = TreeNetwork((2,) * n, [(v // 2, v, 2 ** (n // 2)) for v in range(2, n + 1)])
+    shapes.clear()
+    from_state_ttns(random_state(rng, (2,) * n), tree, n)
+    assert len(shapes) == n - 1
+
+
+def test_schmidt_of_a_real_state_matches_the_complex_route():
+    # a global phase leaves the Schmidt values alone but forces complex arithmetic
+    n = 16
+    psi = w_state(n).array
+    phase = np.exp(1j * np.pi / 7)
+    for cut in range(1, n):
+        got, want = schmidt(psi, [2] * n, cut), schmidt(phase * psi, [2] * n, cut)
+        assert got.rank == want.rank == 2
+        assert np.abs(got.coefficients - want.coefficients).max() <= 1e-14
 
 
 def _assert_profile_matches_per_cut(psi, dims):

@@ -1,5 +1,6 @@
 """Tests for the dense-tensor kernels: contraction, SVD ranks, RQ/QR splits."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from tnslab.errors import CapacityError, DimensionMismatchError, NormalizationError
 from tnslab.tensors import (
     DEFAULT_CAPACITY_CAP,
+    TALL_RATIO,
     DenseTensor,
     capacity_cap,
     check_capacity,
@@ -101,6 +103,56 @@ def test_reduced_rq_trims_rank_deficient_rows():
     r, q = reduced_rq(mat)
     assert q.shape == (1, 4)
     assert np.abs(r.array @ q.array - mat).max() < 1e-12
+
+
+@given(n=st.integers(min_value=1, max_value=8), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_reduced_rq_of_a_tall_matrix_splits_through_its_triangle(n, data):
+    # k >= TALL_RATIO * n: the rank is decided on the n x n triangle of m = Q1 R1
+    k = data.draw(st.integers(min_value=TALL_RATIO * n, max_value=4096))
+    rank = data.draw(st.integers(min_value=0, max_value=n))
+    real = data.draw(st.booleans())
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=10**6)))
+
+    def isometry(rows):
+        g = rng.standard_normal((rows, rank))
+        if not real:
+            g = g + 1j * rng.standard_normal((rows, rank))
+        return np.linalg.qr(g)[0]
+
+    # singular values in [0.5, 1] and then exact zeros: a clear gap
+    s = rng.uniform(0.5, 1.0, rank)
+    mat = ((isometry(k) * s) @ isometry(n).conj().T).astype(np.complex128)
+    r, q = reduced_rq(mat)
+    assert q.shape[0] == matrix_rank(mat) == rank
+    assert (r.shape, q.shape) == ((k, rank), (rank, n))
+    assert np.linalg.norm(r.array @ q.array - mat) <= 1e-12 * np.linalg.norm(mat)
+    assert np.abs(q.array @ q.array.conj().T - np.eye(rank)).max(initial=0.0) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(6, 5), (96, 4)], ids=["direct", "tall"])
+def test_a_real_matrix_splits_in_real_arithmetic_like_its_phase_rotation(shape):
+    rng = np.random.default_rng(5)
+    mat = (rng.standard_normal((shape[0], 3)) @ rng.standard_normal((3, shape[1]))).astype(complex)
+    phase = np.exp(1j * np.pi / 7)
+    (r, q), (r_c, q_c) = reduced_rq(mat), reduced_rq(phase * mat)
+    assert q.shape[0] == q_c.shape[0] == matrix_rank(mat) == 3
+    for t in (r, q, r_c, q_c):
+        assert isinstance(t, DenseTensor) and t.array.dtype == np.complex128
+    assert not r.array.imag.any() and not q.array.imag.any()
+    assert np.abs(r.array @ q.array - mat).max() < 1e-12
+    assert np.abs(r.array @ q.array - (r_c.array @ q_c.array) / phase).max() < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(1.0, np.inf)])
+@pytest.mark.parametrize("shape", [(3, 4), (64, 2)], ids=["direct", "tall"])
+def test_reduced_rq_refuses_non_finite_entries(shape, bad):
+    mat = np.ones(shape, dtype=np.complex128)
+    mat[1, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite"):
+            reduced_rq(mat)
 
 
 def test_reduced_qr_is_the_transpose_companion():
