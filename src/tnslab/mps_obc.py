@@ -140,6 +140,8 @@ def schmidt_profile(psi, dims, tol: float = DEFAULT_TOL) -> list[SchmidtData]:
         return []
     profile = []
     mat = arr.reshape(math.prod(dims[:-1]), dims[-1])
+    # a real state's sweep runs in float64 arithmetic, as `schmidt` does
+    mat = mat if mat.imag.any() else mat.real
     for cut in range(len(dims) - 1, 0, -1):
         s = np.linalg.svd(mat, compute_uv=False)
         rank = _rank_from_singulars(s, tol)

@@ -49,37 +49,35 @@ def _ints(values, key: str) -> list[int]:
 
 class _Body:
     """A tensor's "[[re, im], ...]" text in a saved file: its rows counted before
-    the cap check, its numbers read after; a ValueError leaves the file to json."""
+    the cap check, read after through a table of its distinct row texts; a
+    ValueError leaves the file to json."""
 
     def __init__(self, text: str, start: int, end: int):
         self.text, self.start, self.end, self.read = text, start, end, False
-        # json.load reads mostly distinct numbers faster than a table does: judged here
-        # on the first 128 (a float token has at most 26 bytes), in floats on all
-        head = text[start + 2 : min(end - 2, start + 128 * 32)].split(", ")[:128]
-        if 2 * len({t.strip("[]") for t in head}) > len(head):
+        # json.load reads mostly distinct rows faster than a table does: judged here
+        # on the first 128 (58 bytes at most with a separator), in amplitudes on all
+        head = text[start + 2 : min(end - 2, start + 128 * 64)].split("], [")[:128]
+        if 2 * len(set(head)) > len(head):
             raise ValueError("left to the json reader")
         # a body holds no string, so each "[" but the outer one opens a row
         self.rows = text.count("], [", start, end) + 1
         if text.count("[", start, end) != self.rows + 1:
             raise ValueError("left to the json reader")
 
-    def floats(self, count: int) -> np.ndarray:
-        tokens = self.text[self.start + 2 : self.end - 2].split(", ")
-        index = {t: i for i, t in enumerate(dict.fromkeys(tokens))}
-        # a row's "[" stays on its first token and its "]" on its last; json's
-        # reading of the distinct numbers is its reading of each if one apiece
-        cores = [t.removeprefix("[").removesuffix("]") for t in index]
-        if len(tokens) != count or 2 * len(set(cores)) > count:
+    def amplitudes(self) -> np.ndarray:
+        rows = self.text[self.start + 2 : self.end - 2].split("], [")
+        index = {r: i for i, r in enumerate(dict.fromkeys(rows))}
+        # json reads a row with no bracket in it alike wherever the row stands
+        if 2 * len(index) > len(rows) or any("[" in r or "]" in r for r in index):
             raise ValueError("left to the json reader")
-        values = json.loads(f"[{', '.join(cores)}]")
-        at = np.fromiter(map(index.__getitem__, tokens), np.intp, count)
-        kinds = np.array([(t[:1] == "[") + 2 * (t[-1:] == "]") for t in index], np.uint8)[at]
-        if (len(values) != len(cores) or set(map(type, values)) - {int, float} or kinds[0]
-                or kinds[-1] or (kinds[1:-1:2] != 2).any() or (kinds[2:-1:2] != 1).any()):
+        pairs = json.loads(f"[[{'], ['.join(index)}]]")
+        numbers = list(itertools.chain.from_iterable(pairs))
+        if set(map(len, pairs)) != {2} or set(map(type, numbers)) - {int, float}:
             raise ValueError("left to the json reader")
         self.read = True
         # ints pass through float() as np.fromiter converts them on json's route
-        return np.fromiter(values, np.float64, len(values))[at]
+        table = np.fromiter(numbers, np.float64, len(numbers)).view(np.complex128)
+        return table[np.fromiter(map(index.__getitem__, rows), np.intp, len(rows))]
 
 
 def tensor_from_obj(obj: dict, check=check_capacity) -> np.ndarray:
@@ -95,7 +93,7 @@ def tensor_from_obj(obj: dict, check=check_capacity) -> np.ndarray:
         raise ValueError("tensor data does not match its shape")
     check(size)
     if isinstance(data, _Body):
-        return data.floats(2 * size).view(np.complex128).reshape(shape)
+        return data.amplitudes().reshape(shape)
     numbers = itertools.chain.from_iterable
     try:
         # pairs of JSON numbers only: a bool would pass as 0 or 1
@@ -258,10 +256,10 @@ def load_state(path):
     ValueError when the JSON is not a state, CapacityError when a dense
     state is over the state cap or another tensor over the capacity cap,
     before the refused array is allocated. A file as save_state writes it,
-    with at most half of each tensor's numbers distinct, takes the table
-    route: json parses only the skeleton, each tensor's cap is checked
+    with at most half of each tensor's [re, im] rows distinct, takes the
+    table route: json parses only the skeleton, each tensor's cap is checked
     before its data is read, and each data body is read through a table of
-    its distinct numbers. json.load reads any other file, and any file that
+    its distinct rows. json.load reads any other file, and any file that
     route cannot show to read the same.
     """
     with open(path, "r", encoding="utf-8") as fh:

@@ -315,6 +315,24 @@ def test_schmidt_of_a_real_state_matches_the_complex_route():
         assert np.abs(got.coefficients - want.coefficients).max() <= 1e-14
 
 
+@pytest.mark.parametrize(
+    "build", [lambda: w_state(16), lambda: two_domain_state(6, 2)], ids=["w16", "two_domain"]
+)
+def test_schmidt_profile_of_a_real_state_matches_the_complex_route(monkeypatch, build):
+    psi = build().array
+    dims = list(psi.shape)
+    svd, kinds = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: kinds.append(a.dtype) or svd(a, **kw))
+    got = schmidt_profile(psi, dims)
+    real = set(kinds)
+    want = schmidt_profile(np.exp(1j * np.pi / 7) * psi, dims)
+    assert real == {np.dtype(np.float64)} and set(kinds) - real == {np.dtype(np.complex128)}
+    assert [p.rank for p in got] == [p.rank for p in want]
+    for g, w in zip(got, want):
+        assert g.coefficients.dtype == np.float64
+        assert np.abs(g.coefficients - w.coefficients).max() <= 1e-14
+
+
 def _assert_profile_matches_per_cut(psi, dims):
     profile = schmidt_profile(psi, dims)
     want = [schmidt(psi, dims, cut) for cut in range(1, len(dims))]

@@ -2,6 +2,7 @@
 import gc
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from tnslab.serialize import (
 )
 from tnslab.tensors import DenseTensor, as_array
 from tnslab.ttns import TreeNetwork, Ttns
-from tnslab.zoo import aklt_tensor, psi_tau_tensors, psi_w, w_obc_mps, w_state
+from tnslab.zoo import aklt_tensor, psi_tau_tensors, psi_w, two_domain_state, w_obc_mps, w_state
 
 
 def test_tensor_obj_layout():
@@ -379,6 +380,13 @@ def _chain(rows):
 _ZEROS = ["0.0, 0.0"] * 6
 
 
+def _mixed_texts():
+    """Bodies of few distinct parts but mostly distinct [re, im] rows, from the
+    first row on and after 128 repeated ones."""
+    mixed = [f"{a}.5, {b}.25" for a in range(12) for b in range(12)]
+    return [_dense(mixed), _dense(["0.0, 0.0"] * 128 + mixed)]
+
+
 def _hand_texts():
     canonical = json.loads(_dense(["1.0, 0.0"] + _ZEROS))
     texts = [json.dumps(canonical, separators=(",", ":")), json.dumps(canonical, indent=1)]
@@ -411,7 +419,17 @@ def _hand_texts():
         _dense(["1.0,0.0, 2.0"] + _ZEROS),
         _dense(["1.0, 0.0, 0.0", "1.0"] + _ZEROS[:5]),
         _dense(["1.0, 0.0"] * 7).replace(", 0.0]]", ", 0.0]] "),
+        # a bracket in the middle of a row, a row joined without the ", " separator
+        _dense(_ZEROS[:3] + ["1.0, [0.0"] + _ZEROS[:3]),
+        _dense(_ZEROS[:3] + ["1.0 ], 0.0"] + _ZEROS[:3]),
+        _dense(_ZEROS[:3] + ["1.0, 0.0],[0.0, 0.0"] + _ZEROS[:2]).replace("[6]", "[7]"),
+        _dense(_ZEROS[:3] + ["1.0, 0.0] ,[0.0, 0.0"] + _ZEROS[:2]).replace("[6]", "[7]"),
+        # a middle row of one number and one of three, and an object in a row
+        _dense(_ZEROS[:3] + ["1.0", "1.0, 0.0, 0.0"] + _ZEROS[:2]),
+        _dense(_ZEROS[:3] + ["{}, 0.0"] + _ZEROS[:3]),
+        _dense(_ZEROS[:3] + ["1.0, {}"] + _ZEROS[:3]),
     ]
+    texts += _mixed_texts()
     # a chain whose first body takes the table route and whose second does not
     few = {"shape": [2, 1, 2], "data": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}
     many = {"shape": [2, 2, 1], "data": [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6], [0.7, 0.8]]}
@@ -465,7 +483,9 @@ def test_load_state_stops_the_cut_at_the_first_body_left_to_json(tmp_path, monke
 
 
 @pytest.mark.parametrize(
-    "build", [lambda: psi_w(16, 0.05), lambda: w_obc_mps(5)], ids=["psi_w", "w_obc_mps"]
+    "build",
+    [lambda: psi_w(16, 0.05), lambda: w_obc_mps(5), lambda: two_domain_state(6, 2)],
+    ids=["psi_w", "w_obc_mps", "two_domain"],
 )
 def test_canonical_saves_load_without_the_per_amplitude_tree(tmp_path, monkeypatch, build):
     # the json reader's tree is built only under _collector_paused
@@ -478,3 +498,27 @@ def test_canonical_saves_load_without_the_per_amplitude_tree(tmp_path, monkeypat
     back = load_state(path)
     assert calls == []
     assert _fingerprint(back) == _fingerprint(state)
+
+
+def test_mostly_distinct_rows_are_left_to_json(tmp_path, monkeypatch):
+    calls = []
+    paused = serialize._collector_paused
+    monkeypatch.setattr(serialize, "_collector_paused", lambda: calls.append(1) or paused())
+    for text in _mixed_texts():
+        path = tmp_path / "mixed.json"
+        path.write_text(text, encoding="utf-8")
+        assert _fingerprint(load_state(path)) == _fingerprint(state_from_obj(json.loads(text)))
+    assert calls == [1, 1]
+
+
+def test_loading_a_saved_boundary_state_peaks_below_the_json_tree(tmp_path):
+    # 11.1 MiB is the peak of json.load and state_from_obj on this file
+    path = tmp_path / "psi_w.json"
+    save_state(psi_w(16, 0.05), path)
+    tracemalloc.start()
+    try:
+        load_state(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11.1 * 2**20  # bytes
